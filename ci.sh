@@ -86,16 +86,10 @@ if not report["children"]:
     done
 }
 
-# A one-shot probe_solver run (small workload scale) through
-# scripts/bench_static.sh, which must leave a parsable BENCH_static.json
-# with optimized-vs-reference solver timings and a per-thread-count
-# width sweep for every workload/config.
-bench_static() {
-    # Quick mode: without cargo-bench's --bench flag the vendored criterion
-    # runs every bench body exactly once, so a broken bench fails the gate
-    # in ~1s instead of a full measurement pass.
-    OHA_SMOKE=1 cargo test --locked --release -q -p oha-bench --bench static_phase
-    OHA_SMOKE=1 ./scripts/bench_static.sh 1 >/dev/null
+# Checks that BENCH_static.json parses and carries every field the
+# current probe_solver harness emits, for every workload/config. Argument:
+# a label for error messages ("smoke" or "committed").
+check_bench_static() {
     python3 -c '
 import json, sys
 with open("BENCH_static.json") as f:
@@ -120,12 +114,26 @@ for name, b in report["benches"].items():
     if b["words_unioned"] <= 0:
         sys.exit(f"BENCH_static.json: {name} reports words_unioned == 0")
 ' || {
-        echo "bench-static: BENCH_static.json unparsable or incomplete" >&2
+        echo "bench-static: $1 BENCH_static.json unparsable or incomplete" >&2
         return 1
     }
-    # The smoke run just validated the harness; restore the committed
-    # benchmark-scale measurements.
+}
+
+# A one-shot probe_solver run (small workload scale) through
+# scripts/bench_static.sh, which must leave a parsable BENCH_static.json
+# with optimized-vs-reference solver timings and a per-thread-count
+# width sweep for every workload/config. The committed benchmark-scale
+# file is then restored and held to the same field checks, so a stale
+# artifact fails the gate instead of riding along unchecked.
+bench_static() {
+    # Quick mode: without cargo-bench's --bench flag the vendored criterion
+    # runs every bench body exactly once, so a broken bench fails the gate
+    # in ~1s instead of a full measurement pass.
+    OHA_SMOKE=1 cargo test --locked --release -q -p oha-bench --bench static_phase
+    OHA_SMOKE=1 ./scripts/bench_static.sh 1 >/dev/null
+    check_bench_static smoke
     git checkout -- BENCH_static.json 2>/dev/null || true
+    check_bench_static committed
 }
 
 # Thread-sweep byte-equality gate for the parallel static phase: the
@@ -143,15 +151,10 @@ static_parallel_smoke() {
     done
 }
 
-# Dynamic-phase fast-path smoke: the criterion suite must run, and
-# scripts/bench_dynamic.sh must leave a parsable BENCH_dynamic.json with
-# fast-vs-reference timings per workload. bench_dynamic itself aborts
-# unless both configurations produce byte-identical canonical results,
-# so this stage is also an equivalence gate.
-bench_dynamic() {
-    # Quick mode: the vendored criterion runs every bench body once.
-    OHA_SMOKE=1 cargo test --locked --release -q -p oha-bench --bench dynamic_phase
-    OHA_SMOKE=1 OHA_DYN_REPS=1 ./scripts/bench_dynamic.sh 1 >/dev/null
+# Checks that BENCH_dynamic.json parses and carries every field the
+# current bench_dynamic harness emits. Argument: a label for error
+# messages ("smoke" or "committed").
+check_bench_dynamic() {
     python3 -c '
 import json, sys
 with open("BENCH_dynamic.json") as f:
@@ -168,12 +171,24 @@ for name, b in report["benches"].items():
         if field not in b:
             sys.exit(f"BENCH_dynamic.json: {name} missing {field!r}")
 ' || {
-        echo "bench-dynamic: BENCH_dynamic.json unparsable or incomplete" >&2
+        echo "bench-dynamic: $1 BENCH_dynamic.json unparsable or incomplete" >&2
         return 1
     }
-    # The smoke run just validated the harness; restore the committed
-    # benchmark-scale measurements.
+}
+
+# Dynamic-phase fast-path smoke: the criterion suite must run, and
+# scripts/bench_dynamic.sh must leave a parsable BENCH_dynamic.json with
+# fast-vs-reference timings per workload. bench_dynamic itself aborts
+# unless both configurations produce byte-identical canonical results,
+# so this stage is also an equivalence gate. The committed file is then
+# restored and held to the same field checks.
+bench_dynamic() {
+    # Quick mode: the vendored criterion runs every bench body once.
+    OHA_SMOKE=1 cargo test --locked --release -q -p oha-bench --bench dynamic_phase
+    OHA_SMOKE=1 OHA_DYN_REPS=1 ./scripts/bench_dynamic.sh 1 >/dev/null
+    check_bench_dynamic smoke
     git checkout -- BENCH_dynamic.json 2>/dev/null || true
+    check_bench_dynamic committed
 }
 
 # Store/daemon smoke: 16 concurrent clients against a cold daemon must

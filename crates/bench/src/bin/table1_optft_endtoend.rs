@@ -1,7 +1,7 @@
-//! Table 1: OptFT end-to-end analysis costs — static/profiling times,
-//! break-even baseline-time versus hybrid and traditional FastTrack, and
-//! dynamic speedups. Benchmarks the sound detector proves race-free are
-//! skipped, as in the paper.
+//! Table 1: OptFT end-to-end analysis costs — static, profiling and
+//! lock-elision validation times, break-even baseline-time versus hybrid
+//! and traditional FastTrack, and dynamic speedups. Benchmarks the sound
+//! detector proves race-free are skipped, as in the paper.
 
 use std::time::Duration;
 
@@ -30,7 +30,7 @@ fn main() {
         let trad = CostModel::new(Duration::ZERO, sum(&|r| r.full), baseline);
         let hybrid = CostModel::new(outcome.sound_static_time, sum(&|r| r.hybrid), baseline);
         let opt = CostModel::new(
-            outcome.profile_time + outcome.pred_static_time,
+            outcome.profile_time + outcome.elide_time + outcome.pred_static_time,
             sum(&|r| r.optimistic + r.rollback),
             baseline,
         );
@@ -38,6 +38,7 @@ fn main() {
             w.name.to_string(),
             fmt_dur(outcome.sound_static_time),
             fmt_dur(outcome.profile_time),
+            fmt_dur(outcome.elide_time),
             fmt_dur(outcome.pred_static_time),
             fmt_break_even(break_even_seconds(&opt, &hybrid)),
             fmt_break_even(break_even_seconds(&opt, &trad)),
@@ -54,6 +55,7 @@ fn main() {
                 "bench",
                 "trad static",
                 "profile",
+                "elide",
                 "opt static",
                 "break-even/hybrid",
                 "break-even/trad",

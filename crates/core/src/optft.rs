@@ -49,9 +49,12 @@ pub struct OptFtRun {
 pub struct OptFtOutcome {
     /// Merged likely invariants (with the elidable-lock set filled in).
     pub invariants: InvariantSet,
-    /// Time to run the profiling corpus (including the lock-elision
-    /// validation loop).
+    /// Time to run the profiling corpus until the invariant set
+    /// stabilized (the profile artifact's load time on a warm run).
     pub profile_time: Duration,
+    /// Lock-elision validation time (§4.2.4) on a cold run; zero on a
+    /// warm hit, which loads the validated set with the static phase.
+    pub elide_time: Duration,
     /// Sound static analysis (points-to + race detection) time.
     pub sound_static_time: Duration,
     /// Predicated static analysis time.
@@ -179,6 +182,7 @@ impl OptFtPlans {
 struct FtStatics {
     invariants: InvariantSet,
     profile_time: Duration,
+    elide_time: Duration,
     profiling_used: usize,
     sound_static_time: Duration,
     pred_static_time: Duration,
@@ -217,7 +221,7 @@ impl<'a> OptFt<'a> {
 
         // Phase 1: profile until the invariant set stabilizes (§6.1),
         // store-accelerated when a profile artifact is warm.
-        let (mut invariants, mut profile_time, profiling_used) =
+        let (mut invariants, profile_time, profiling_used) =
             self.pipeline.profile_phase(profiling, 6);
 
         let key = self.pipeline.store().map(|_| {
@@ -257,6 +261,7 @@ impl<'a> OptFt<'a> {
                 return FtStatics {
                     invariants: a.invariants,
                     profile_time,
+                    elide_time: Duration::ZERO,
                     profiling_used,
                     sound_static_time: elapsed,
                     pred_static_time: Duration::ZERO,
@@ -311,12 +316,12 @@ impl<'a> OptFt<'a> {
         pt_pred.stats().record(registry, "optft.pointsto.pred");
 
         // No-custom-synchronization: propose elidable lock/unlock sites and
-        // validate them on the profiling corpus (§4.2.4): any race the
-        // elided detector reports that the sound detector does not is a
-        // false race caused by a custom synchronization through an elided
-        // lock — put that lock's instrumentation back and retry.
+        // validate them (§4.2.4): any race the elided detector reports that
+        // the sound detector does not is a false race caused by a custom
+        // synchronization through an elided lock — put that lock's
+        // instrumentation back and retry.
         let span = registry.span("elide");
-        let elidable = validate_elidable_locks(
+        let elision = validate_elidable_locks(
             program,
             machine,
             &pt_pred,
@@ -324,9 +329,13 @@ impl<'a> OptFt<'a> {
             races_sound.racy_sites(),
             profiling,
         );
-        invariants.elidable_locks = elidable;
         let elide_time = span.finish();
-        profile_time += elide_time;
+        registry.add("optft.elide.candidates", elision.candidates as u64);
+        registry.add(
+            "optft.elide.validation_runs",
+            elision.validation_runs as u64,
+        );
+        invariants.elidable_locks = elision.sites;
 
         let pending = key.as_ref().map(|_| OptFtArtifact {
             invariants: invariants.clone(),
@@ -344,6 +353,7 @@ impl<'a> OptFt<'a> {
         FtStatics {
             invariants,
             profile_time,
+            elide_time,
             profiling_used,
             sound_static_time,
             pred_static_time,
@@ -372,6 +382,7 @@ impl<'a> OptFt<'a> {
         let FtStatics {
             invariants,
             profile_time,
+            elide_time,
             profiling_used,
             sound_static_time,
             pred_static_time,
@@ -439,6 +450,7 @@ impl<'a> OptFt<'a> {
         let mut outcome = OptFtOutcome {
             profiling_runs_used: profiling_used,
             profile_time,
+            elide_time,
             sound_static_time,
             pred_static_time,
             racy_sites_sound: races_sound.stats().racy_accesses,
@@ -607,8 +619,26 @@ impl<'a> OptFt<'a> {
     }
 }
 
+/// The lock elision decided for one cold OptFT run (§4.2.4).
+struct Elision {
+    /// Lock/unlock sites whose instrumentation the optimistic detector
+    /// skips.
+    sites: BTreeSet<InstId>,
+    /// Lock/unlock sites proposed before validation.
+    candidates: usize,
+    /// Detector executions the corpus loop spent (two per profiling input
+    /// it ran); 0 when the answer was decided statically.
+    validation_runs: usize,
+}
+
 /// Proposes and validates lock/unlock sites whose instrumentation can be
 /// elided (no-custom-synchronization, §4.2.4).
+///
+/// When no load or store is in the predicated racy set, the answer is
+/// decided without running anything: the optimistic detector instruments
+/// no access, and only accesses report races, so it reports none on any
+/// input — trivially a subset of the sound detector's races, which is all
+/// [`validate_on_corpus`] checks. It would return the candidates unchanged.
 fn validate_elidable_locks(
     program: &Program,
     machine: &Machine<'_>,
@@ -616,15 +646,38 @@ fn validate_elidable_locks(
     races_pred: &StaticRaces,
     sound_racy: &BitSet,
     profiling: &[Vec<i64>],
-) -> BTreeSet<InstId> {
-    // Group lock/unlock sites into alias classes (shared lock cells).
+) -> Elision {
+    let (proposed, racy_access) = propose_elidable_locks(program, pt_pred, races_pred);
+    let candidates = proposed.len();
+    let (sites, validation_runs) = if racy_access {
+        validate_on_corpus(
+            program, machine, races_pred, sound_racy, &proposed, profiling,
+        )
+    } else {
+        (proposed, 0)
+    };
+    Elision {
+        sites,
+        candidates,
+        validation_runs,
+    }
+}
+
+/// Groups lock/unlock sites into alias classes (shared lock cells) and
+/// proposes the sites of every class that guards no predicated-racy
+/// access. Also says whether any load or store is predicated-racy at all.
+fn propose_elidable_locks(
+    program: &Program,
+    pt_pred: &PointsTo,
+    races_pred: &StaticRaces,
+) -> (BTreeSet<InstId>, bool) {
     let sites: Vec<InstId> = program
         .insts()
         .filter(|i| matches!(i.kind, InstKind::Lock { .. } | InstKind::Unlock { .. }))
         .map(|i| i.id)
         .collect();
     if sites.is_empty() {
-        return BTreeSet::new();
+        return (BTreeSet::new(), false);
     }
     let mut class_of: HashMap<InstId, usize> = HashMap::new();
     let mut classes: Vec<Vec<InstId>> = Vec::new();
@@ -649,11 +702,13 @@ fn validate_elidable_locks(
     // A class is a candidate when no access it guards needs instrumentation.
     let locksets = MustLocksets::new(program, pt_pred);
     let mut candidate = vec![true; classes.len()];
+    let mut racy_access = false;
     for inst in program.insts() {
         if !inst.kind.is_memory_access() {
             continue;
         }
         if races_pred.is_racy(inst.id) {
+            racy_access = true;
             for &l in locksets.held_at(inst.id) {
                 if let Some(&k) = class_of.get(&l) {
                     candidate[k] = false;
@@ -661,58 +716,59 @@ fn validate_elidable_locks(
             }
         }
     }
+    let proposed = classes
+        .into_iter()
+        .zip(candidate)
+        .filter(|&(_, keep)| keep)
+        .flat_map(|(c, _)| c)
+        .collect();
+    (proposed, racy_access)
+}
 
-    // Validation loop: run the elided detector on the profiling corpus and
-    // compare against the sound hybrid detector; a false race de-elides the
-    // involved lock classes.
+/// The validation loop: runs the elided detector on the profiling corpus
+/// and compares against the sound hybrid detector. Returns the validated
+/// sites and the detector executions spent.
+fn validate_on_corpus(
+    program: &Program,
+    machine: &Machine<'_>,
+    races_pred: &StaticRaces,
+    sound_racy: &BitSet,
+    elided: &BTreeSet<InstId>,
+    profiling: &[Vec<i64>],
+) -> (BTreeSet<InstId>, usize) {
+    if elided.is_empty() {
+        return (BTreeSet::new(), 0);
+    }
     let fast = fastpath::enabled();
     let hybrid_plan = fast.then(|| FastTrackTool::plan_for(program, Some(sound_racy), None));
-    loop {
-        let elided: BTreeSet<InstId> = classes
-            .iter()
-            .enumerate()
-            .filter(|&(k, _)| candidate[k])
-            .flat_map(|(_, c)| c.iter().copied())
-            .collect();
-        if elided.is_empty() {
-            return elided;
+    let opt_plan =
+        fast.then(|| FastTrackTool::plan_for(program, Some(races_pred.racy_sites()), Some(elided)));
+    let mut runs = 0;
+    for input in profiling {
+        let mut sound = FastTrackTool::hybrid(sound_racy);
+        machine.run_with_plan(input, &mut sound, hybrid_plan.as_ref());
+        let mut opt = FastTrackTool::optimistic(races_pred.racy_sites(), elided);
+        machine.run_with_plan(input, &mut opt, opt_plan.as_ref());
+        runs += 2;
+        // These tools' counters are never published, but the reused
+        // plans' tallies must still be drained between runs so the
+        // machine's end-of-run counter flush stays per-run exact.
+        if let Some(p) = &hybrid_plan {
+            p.take_elisions();
         }
-        // The optimistic plan changes with the candidate elision set, so
-        // it is (re)compiled per round, amortized over the corpus.
-        let opt_plan = fast.then(|| {
-            FastTrackTool::plan_for(program, Some(races_pred.racy_sites()), Some(&elided))
-        });
-        let mut false_race = false;
-        for input in profiling {
-            let mut sound = FastTrackTool::hybrid(sound_racy);
-            machine.run_with_plan(input, &mut sound, hybrid_plan.as_ref());
-            let mut opt = FastTrackTool::optimistic(races_pred.racy_sites(), &elided);
-            machine.run_with_plan(input, &mut opt, opt_plan.as_ref());
-            // These tools' counters are never published, but the reused
-            // plans' tallies must still be drained between runs so the
-            // machine's end-of-run counter flush stays per-run exact.
-            if let Some(p) = &hybrid_plan {
-                p.take_elisions();
-            }
-            if let Some(p) = &opt_plan {
-                p.take_elisions();
-            }
-            if !opt.race_pairs().is_subset(&sound.race_pairs()) {
-                false_race = true;
-                break;
-            }
+        if let Some(p) = &opt_plan {
+            p.take_elisions();
         }
-        if !false_race {
-            return elided;
-        }
-        // Give up elision entirely on a false race: simple and sound. A
-        // finer policy would de-elide only the offending class; the paper's
-        // "return the lock/unlock instrumentation to the offending locks"
-        // iterates similarly until the false races disappear.
-        for c in candidate.iter_mut() {
-            *c = false;
+        if !opt.race_pairs().is_subset(&sound.race_pairs()) {
+            // Give up elision entirely on a false race: simple and sound.
+            // A finer policy would de-elide only the offending class, as
+            // the paper's "return the lock/unlock instrumentation to the
+            // offending locks" does, iterating until the false races
+            // disappear.
+            return (BTreeSet::new(), runs);
         }
     }
+    (elided.clone(), runs)
 }
 
 #[cfg(test)]
@@ -784,6 +840,115 @@ mod tests {
         assert_eq!(outcome.racy_sites_pred, 0);
         assert!(outcome.elidable_lock_sites > 0, "locks elided");
         assert_eq!(outcome.misspeculation_rate(), 0.0);
+    }
+
+    /// With no predicated-racy access, elision is decided without running
+    /// the corpus, and the decision is the one the corpus loop reaches.
+    #[test]
+    fn static_elision_decision_matches_the_corpus_loop() {
+        let program = locked_counter();
+        let pipeline = Pipeline::new(program.clone());
+        let profiling: Vec<Vec<i64>> = (1..5).map(|n| vec![n * 10]).collect();
+        let outcome = pipeline.run_optft(&profiling, &[vec![7]]);
+        assert_eq!(outcome.report.counter("optft.elide.validation_runs"), 0);
+        assert_eq!(
+            outcome.report.counter("optft.elide.candidates"),
+            outcome.elidable_lock_sites as u64
+        );
+
+        let optft = OptFt::new(&pipeline);
+        let pt_sound = analyze(&program, &optft.pt_config(None)).unwrap();
+        let pt_pred = analyze(&program, &optft.pt_config(Some(&outcome.invariants))).unwrap();
+        let races_sound = detect(&program, &pt_sound, None);
+        let races_pred = detect(&program, &pt_pred, Some(&outcome.invariants));
+        let (proposed, racy_access) = propose_elidable_locks(&program, &pt_pred, &races_pred);
+        assert!(!racy_access);
+        let machine = Machine::new(&program, pipeline.config().machine);
+        let (sites, runs) = validate_on_corpus(
+            &program,
+            &machine,
+            &races_pred,
+            races_sound.racy_sites(),
+            &proposed,
+            &profiling,
+        );
+        assert_eq!(runs, 2 * profiling.len(), "the loop ran the whole corpus");
+        assert_eq!(sites, outcome.invariants.elidable_locks);
+    }
+
+    /// Custom synchronization: a producer writes `data` unguarded, then
+    /// hands a flag off under a lock; a consumer spins on the flag under
+    /// the same lock and then reads `data` unguarded. The lock guards no
+    /// predicated-racy access (the flag accesses are all locked), so it is
+    /// an elision candidate — but it is what orders the `data` accesses,
+    /// which the static detector leaves racy.
+    fn flag_handoff() -> Program {
+        let mut pb = ProgramBuilder::new();
+        let data = pb.global("data", 1);
+        let flag = pb.global("flag", 1);
+        let lock = pb.global("lock", 1);
+        let producer = pb.declare("producer", 1);
+        let consumer = pb.declare("consumer", 1);
+        let mut m = pb.function("main", 0);
+        let n = m.input();
+        let t1 = m.spawn(producer, R(n));
+        let t2 = m.spawn(consumer, Const(0));
+        m.join(R(t1));
+        m.join(R(t2));
+        m.ret(None);
+        let main = pb.finish_function(m);
+
+        let mut pf = pb.function("producer", 1);
+        let v = pf.param(0);
+        let da = pf.addr_global(data);
+        pf.store(R(da), 0, R(v));
+        let la = pf.addr_global(lock);
+        let fa = pf.addr_global(flag);
+        pf.lock(R(la));
+        pf.store(R(fa), 0, Const(1));
+        pf.unlock(R(la));
+        pf.ret(None);
+        pb.finish_function(pf);
+
+        let mut cf = pb.function("consumer", 1);
+        let head = cf.block();
+        let done = cf.block();
+        let da = cf.addr_global(data);
+        let la = cf.addr_global(lock);
+        let fa = cf.addr_global(flag);
+        cf.jump(head);
+        cf.select(head);
+        cf.lock(R(la));
+        let f = cf.load(R(fa), 0);
+        cf.unlock(R(la));
+        cf.branch(R(f), done, head);
+        cf.select(done);
+        let d = cf.load(R(da), 0);
+        cf.output(R(d));
+        cf.ret(None);
+        pb.finish_function(cf);
+        pb.finish(main).unwrap()
+    }
+
+    #[test]
+    fn validation_de_elides_a_lock_used_for_custom_synchronization() {
+        let pipeline = Pipeline::new(flag_handoff());
+        let profiling: Vec<Vec<i64>> = (1..5).map(|n| vec![n]).collect();
+        let testing: Vec<Vec<i64>> = (5..8).map(|n| vec![n]).collect();
+        let outcome = pipeline.run_optft(&profiling, &testing);
+
+        assert!(outcome.racy_sites_pred > 0, "the data accesses stay racy");
+        assert_eq!(outcome.report.counter("optft.elide.candidates"), 4);
+        assert!(
+            outcome.report.counter("optft.elide.validation_runs") > 0,
+            "a predicated-racy access forces the corpus loop"
+        );
+        assert_eq!(outcome.elidable_lock_sites, 0, "the false race de-elides");
+        assert!(
+            outcome.baseline_races.is_empty(),
+            "the flag orders the data"
+        );
+        assert_eq!(outcome.optimistic_races, outcome.baseline_races);
     }
 
     /// An input-dependent cold path makes the LUC invariant fail on a

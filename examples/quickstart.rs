@@ -95,8 +95,8 @@ fn main() {
         outcome.racy_sites_pred
     );
     println!(
-        "  lock/unlock sites elided (no-custom-sync): {}",
-        outcome.elidable_lock_sites
+        "  lock/unlock sites elided (no-custom-sync): {} ({:?})",
+        outcome.elidable_lock_sites, outcome.elide_time
     );
 
     println!("\nphase 3 — speculative dynamic analysis:");
