@@ -191,6 +191,45 @@ bench_dynamic() {
     check_bench_dynamic committed
 }
 
+# Checks that BENCH_cluster.json parses and carries every field the
+# current scripts/bench_cluster.sh emits. Argument: a label for error
+# messages ("smoke" or "committed").
+check_bench_cluster() {
+    python3 -c '
+import json, sys
+with open("BENCH_cluster.json") as f:
+    report = json.load(f)
+for key in ("harness", "host", "benches", "caveat", "workload_scale",
+            "samples_per_point", "clients", "requests_per_client", "variants"):
+    if key not in report:
+        sys.exit(f"BENCH_cluster.json: missing {key!r}")
+if "available_parallelism" not in report["host"]:
+    sys.exit("BENCH_cluster.json: host block lacks available_parallelism")
+b = report["benches"].get("cluster.warm_throughput")
+if b is None:
+    sys.exit("BENCH_cluster.json: no cluster.warm_throughput bench")
+for field in ("one_worker_rps", "three_worker_rps", "speedup"):
+    if field not in b:
+        sys.exit(f"BENCH_cluster.json: warm_throughput missing {field!r}")
+    if not b[field] or b[field] <= 0:
+        sys.exit(f"BENCH_cluster.json: warm_throughput {field} is not positive")
+' || {
+        echo "bench-cluster: $1 BENCH_cluster.json unparsable or incomplete" >&2
+        return 1
+    }
+}
+
+# A smoke-scale scripts/bench_cluster.sh run (1-vs-3-worker throughput
+# through oha-router, every response byte-checked against an oracle)
+# must leave a parsable BENCH_cluster.json; the committed file is then
+# restored and held to the same field checks.
+bench_cluster_smoke() {
+    OHA_SMOKE=1 ./scripts/bench_cluster.sh 1 >/dev/null
+    check_bench_cluster smoke
+    git checkout -- BENCH_cluster.json 2>/dev/null || true
+    check_bench_cluster committed
+}
+
 # Store/daemon smoke: 16 concurrent clients against a cold daemon must
 # all get byte-identical canonical JSON; a fresh daemon warm-started on
 # the same artifact store must answer with the same bytes again; both
@@ -687,5 +726,7 @@ stage "trace-smoke (Chrome trace export + live daemon metrics)" trace_smoke
 stage "bench-store-smoke (cold/warm + daemon, --json)" bench_store_smoke
 stage "chaos-smoke (fault plan + crash recovery)" chaos_smoke
 stage "cluster-smoke (3-worker router, kill + failover + recovery)" cluster_smoke
+stage "bench-cluster-smoke (1-vs-3-worker router throughput, BENCH_cluster.json)" \
+    bench_cluster_smoke
 
 echo "CI green."

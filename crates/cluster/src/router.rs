@@ -1,10 +1,15 @@
 //! The cluster front door: one socket speaking the ordinary daemon
 //! protocol, backed by a supervised fleet of `oha-serve` workers.
 //!
-//! Routing: an `analyze` request's shard key is the fingerprint of its
-//! cache-key bytes — the same bytes the workers' LRU fronts and the
-//! retry jitter already key on — so identical requests always land on
-//! the same *home* worker and its LRU absorbs the repeats. On a
+//! Routing: an `analyze` request's shard key is its cache key — the
+//! same fingerprint the workers' LRU fronts and the retry jitter key on
+//! — so identical requests always land on the same *home* worker and
+//! its LRU absorbs the repeats. Analyze frames are recognised by their
+//! op byte, keyed straight from the payload
+//! ([`cache_key_of_payload`]) and forwarded verbatim: the router never
+//! decodes or re-encodes them, so the worker is the one validator of an
+//! analyze payload (a malformed one comes back as the worker's typed
+//! `bad request` error, which is deterministic and not failed over). On a
 //! transport error or a typed `busy` shed the router walks the key's
 //! rendezvous ranking to the next live worker (capped-backoff delays
 //! between attempts, the client crate's own discipline), which is safe
@@ -35,10 +40,9 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use oha_faults::{sites, FaultPlan};
-use oha_ir::Fingerprint;
 use oha_obs::{prom, Histogram, Json};
 use oha_par::TaskPool;
-use oha_serve::proto::{read_frame, write_frame};
+use oha_serve::proto::{cache_key_of_payload, is_analyze_payload, read_frame, write_frame};
 use oha_serve::{Client, ClientConfig, MetricsFormat, Request, Response, RetryPolicy};
 
 use crate::supervisor::{Supervisor, SupervisorConfig};
@@ -132,10 +136,11 @@ impl Shared {
         }
     }
 
+    /// Sends one encoded request to `worker` and returns its answer.
     fn forward(
         &self,
         worker: usize,
-        request: &Request,
+        payload: &[u8],
         clients: &mut WorkerClients,
     ) -> io::Result<Response> {
         let client = match clients.entry(worker) {
@@ -145,16 +150,16 @@ impl Shared {
                 self.forward_config.clone(),
             )?),
         };
-        client.call(request)
+        client.call_encoded(payload)
     }
 
-    /// Routes one analyze request: home worker first, then the key's
-    /// rendezvous failover order, `max_retries + 1` passes with backoff
-    /// between attempts. Early passes skip workers the supervisor knows
-    /// are down; the last pass tries everything, since supervision can
-    /// lag reality in both directions.
-    fn route(&self, request: &Request, clients: &mut WorkerClients) -> Response {
-        let key = Fingerprint::of_bytes(&request.cache_key_bytes()).0 as u64;
+    /// Routes one analyze payload, as the client sent it: home worker
+    /// first, then the key's rendezvous failover order, `max_retries + 1`
+    /// passes with backoff between attempts. Early passes skip workers
+    /// the supervisor knows are down; the last pass tries everything,
+    /// since supervision can lag reality in both directions.
+    fn route(&self, payload: &[u8], clients: &mut WorkerClients) -> Response {
+        let key = cache_key_of_payload(payload).0 as u64;
         let ranking = self.topology.rank(key);
         let home = ranking[0];
         let passes = self.retry.max_retries as usize + 1;
@@ -172,7 +177,7 @@ impl Shared {
                 if self.faults.should_inject(sites::CLUSTER_ROUTE_DELAY) {
                     std::thread::sleep(self.faults.delay());
                 }
-                match self.forward(worker, request, clients) {
+                match self.forward(worker, payload, clients) {
                     Ok(response) if !response.busy => {
                         self.forwarded.fetch_add(1, Ordering::Relaxed);
                         self.shard_requests[worker].fetch_add(1, Ordering::Relaxed);
@@ -199,8 +204,9 @@ impl Shared {
     /// Fans `request` out to every worker, `None` where a worker fails
     /// to answer.
     fn fan_out(&self, request: &Request, clients: &mut WorkerClients) -> Vec<Option<Response>> {
+        let payload = request.encode();
         (0..self.topology.workers())
-            .map(|worker| match self.forward(worker, request, clients) {
+            .map(|worker| match self.forward(worker, &payload, clients) {
                 Ok(response) if response.ok => Some(response),
                 _ => None,
             })
@@ -623,10 +629,7 @@ fn handle_connection(stream: UnixStream, shared: &Arc<Shared>) {
             Ok(Some(p)) => p,
             Ok(None) | Err(_) => return,
         };
-        let response = match Request::decode(&payload) {
-            Ok(request) => dispatch(request, shared, &mut clients),
-            Err(e) => Response::err(format!("bad request: {e}")),
-        };
+        let response = dispatch(&payload, shared, &mut clients);
         shared.requests.fetch_add(1, Ordering::Relaxed);
         if write_frame(&mut writer, &response.encode()).is_err() {
             return;
@@ -637,21 +640,26 @@ fn handle_connection(stream: UnixStream, shared: &Arc<Shared>) {
     }
 }
 
-fn dispatch(request: Request, shared: &Arc<Shared>, clients: &mut WorkerClients) -> Response {
-    match request {
-        Request::Stats => Response::ok(shared.stats_json(clients)),
-        Request::Metrics { format } => Response::ok(match format {
+fn dispatch(payload: &[u8], shared: &Arc<Shared>, clients: &mut WorkerClients) -> Response {
+    // Analyze frames travel to a worker verbatim; it decodes them.
+    if is_analyze_payload(payload) {
+        return shared.route(payload, clients);
+    }
+    match Request::decode(payload) {
+        Ok(Request::Stats) => Response::ok(shared.stats_json(clients)),
+        Ok(Request::Metrics { format }) => Response::ok(match format {
             MetricsFormat::Json => shared.metrics_json(clients).0.to_string_pretty(),
             MetricsFormat::Prometheus => shared.metrics_prometheus(clients),
         }),
-        Request::Shutdown => {
+        Ok(Request::Shutdown) => {
             shared.shutting.store(true, Ordering::SeqCst);
             // Wake the accept loop so it can observe the flag; worker
             // drain happens in `run` after the handlers finish.
             let _ = UnixStream::connect(&shared.socket);
             Response::ok("{\"shutting_down\":true}")
         }
-        Request::Analyze { .. } => shared.route(&request, clients),
+        Ok(Request::Analyze { .. }) => unreachable!("only an analyze op byte decodes to Analyze"),
+        Err(e) => Response::err(format!("bad request: {e}")),
     }
 }
 

@@ -12,12 +12,12 @@ use std::path::{Path, PathBuf};
 use std::thread;
 use std::time::{Duration, Instant};
 
-use oha_cluster::{Router, RouterConfig, SupervisorConfig, WorkerSpec};
+use oha_cluster::{Router, RouterConfig, SupervisorConfig, Topology, WorkerSpec};
 use oha_core::{optft_canonical_json, optslice_canonical_json, Pipeline};
 use oha_faults::FaultPlan;
 use oha_ir::{print_program, Fingerprint, InstKind, Operand, Program, ProgramBuilder};
 use oha_obs::Json;
-use oha_serve::proto::Request;
+use oha_serve::proto::{cache_key_of_payload, Request};
 use oha_serve::{Client, MetricsFormat, Tool};
 use Operand::{Const, Reg as R};
 
@@ -151,6 +151,16 @@ fn shard_key(text: &str, tool: Tool, profiling: &[Vec<i64>], testing: &[Vec<i64>
     Fingerprint::of_bytes(&request.cache_key_bytes()).0 as u64
 }
 
+/// Blocks until every worker is up, so requests land on their home
+/// workers instead of failing over past one still booting.
+fn wait_for_fleet(router: &Router) {
+    let deadline = Instant::now() + Duration::from_secs(30);
+    while router.supervisor().live_workers() < WORKERS as u64 {
+        assert!(Instant::now() < deadline, "fleet never came up");
+        thread::sleep(Duration::from_millis(20));
+    }
+}
+
 fn cluster_stats(socket: &Path) -> Json {
     let mut client = Client::connect(socket).unwrap();
     let response = client.stats().unwrap();
@@ -260,16 +270,12 @@ fn killing_a_worker_mid_run_fails_over_and_the_supervisor_restarts_it() {
     let router = Router::bind(config).unwrap();
 
     // Wait for the full fleet before aiming the kill.
-    let deadline = Instant::now() + Duration::from_secs(30);
-    while router.supervisor().live_workers() < WORKERS as u64 {
-        assert!(Instant::now() < deadline, "fleet never came up");
-        thread::sleep(Duration::from_millis(20));
-    }
+    wait_for_fleet(&router);
 
     // Derive the first corpus variant's home worker with the same
     // rendezvous topology the router uses — that worker is the kill
     // target, so the retried request *must* fail over.
-    let topology = oha_cluster::Topology::new(WORKERS);
+    let topology = Topology::new(WORKERS);
     let (profiling, testing) = &variants[0];
     let expected = &oracle.expected[0].0;
     let home = topology.home(shard_key(&oracle.text, Tool::OptFt, profiling, testing));
@@ -438,5 +444,132 @@ fn cluster_metrics_json_merges_worker_histograms_exactly() {
 
     let shutdown = client.shutdown().unwrap();
     assert!(shutdown.ok);
+    router_thread.join().unwrap();
+}
+
+/// The router keys analyze frames from their payload bytes; the homes
+/// it picks must be the homes the decoded requests' `cache_key_bytes`
+/// have always picked, and those homes are pinned here so a change to
+/// either the key or the topology shows up as a diff.
+#[test]
+fn payload_keys_route_every_request_to_its_cache_key_bytes_home() {
+    let text = print_program(&locked_counter());
+    let topology = Topology::new(WORKERS);
+    let mut homes = Vec::new();
+    for (variant, (profiling, testing)) in corpus_variants().into_iter().enumerate() {
+        for (tool, trace_id) in [(Tool::OptFt, 0), (Tool::OptSlice, 1000 + variant as u64)] {
+            let request = Request::Analyze {
+                tool,
+                program: text.clone(),
+                profiling: profiling.clone(),
+                testing: testing.clone(),
+                endpoints: Vec::new(),
+                trace_id,
+            };
+            let by_payload = cache_key_of_payload(&request.encode()).0 as u64;
+            let by_bytes = Fingerprint::of_bytes(&request.cache_key_bytes()).0 as u64;
+            assert_eq!(by_payload, by_bytes, "variant {variant}, {tool:?}");
+            assert_eq!(topology.rank(by_payload), topology.rank(by_bytes));
+            homes.push(topology.home(by_payload));
+        }
+    }
+    assert_eq!(homes, GOLDEN_HOMES, "routing moved");
+}
+
+/// Home workers of [`payload_keys_route_every_request_to_its_cache_key_bytes_home`]'s
+/// requests, in order. They also depend on the program's printed text,
+/// so an IR printer change moves them without any routing change.
+const GOLDEN_HOMES: [usize; 8] = [2, 2, 2, 0, 2, 1, 0, 0];
+
+#[test]
+fn trace_ids_survive_the_router_and_repeats_hit_the_lru() {
+    let dir = tmp_dir("trace");
+    let oracle = oracle();
+    let (profiling, testing) = &corpus_variants()[0];
+
+    let config = router_config(&dir);
+    let socket = config.socket.clone();
+    let router = Router::bind(config).unwrap();
+    wait_for_fleet(&router);
+    let router_thread = thread::spawn(move || router.run().unwrap());
+
+    let mut client = Client::connect(&socket).unwrap();
+    let first = client
+        .analyze_traced(Tool::OptFt, &oracle.text, profiling, testing, &[], 0xC0FFEE)
+        .unwrap();
+    assert!(first.ok, "{}", first.body);
+    assert_eq!(
+        first.trace_id, 0xC0FFEE,
+        "the router must forward the trace ID"
+    );
+    assert_eq!(&first.body, &oracle.expected[0].0);
+
+    // Same analysis, another trace: the cache key ignores the trace ID,
+    // so the home worker answers from its LRU with the same bytes.
+    let repeat = client
+        .analyze_traced(Tool::OptFt, &oracle.text, profiling, testing, &[], 0xBEEF)
+        .unwrap();
+    assert!(repeat.ok, "{}", repeat.body);
+    assert!(
+        repeat.cached,
+        "a repeat under a new trace ID missed the LRU"
+    );
+    assert_eq!(repeat.trace_id, 0xBEEF);
+    assert_eq!(repeat.body, first.body);
+
+    assert!(client.shutdown().unwrap().ok);
+    router_thread.join().unwrap();
+}
+
+#[test]
+fn malformed_analyze_frames_get_the_workers_typed_error_without_failover() {
+    let dir = tmp_dir("malformed");
+    let oracle = oracle();
+    let (profiling, testing) = &corpus_variants()[1];
+
+    let config = router_config(&dir);
+    let socket = config.socket.clone();
+    let router = Router::bind(config).unwrap();
+    wait_for_fleet(&router);
+    let router_thread = thread::spawn(move || router.run().unwrap());
+
+    let valid = Request::Analyze {
+        tool: Tool::OptSlice,
+        program: oracle.text.clone(),
+        profiling: profiling.clone(),
+        testing: testing.clone(),
+        endpoints: Vec::new(),
+        trace_id: 0,
+    }
+    .encode();
+    let truncated = valid[..valid.len() / 2].to_vec();
+    // The analyze op byte, then a tool tag no codec version assigns.
+    let mut garbage = vec![0xFF; 10];
+    garbage[0] = valid[0];
+
+    let failovers_before = cluster_field(&cluster_stats(&socket), "failovers");
+    let mut client = Client::connect(&socket).unwrap();
+    for (name, payload) in [("truncated", &truncated), ("garbage", &garbage)] {
+        let response = client.call_encoded(payload).unwrap();
+        assert!(!response.ok && !response.busy, "{name}: {response:?}");
+        assert!(
+            response.body.starts_with("bad request:"),
+            "{name}: {}",
+            response.body
+        );
+    }
+    assert_eq!(
+        cluster_field(&cluster_stats(&socket), "failovers"),
+        failovers_before,
+        "a deterministic rejection must not fail over"
+    );
+
+    // The connection is still good for real work.
+    let response = client.call_encoded(&valid).unwrap();
+    assert!(response.ok, "{}", response.body);
+    assert_eq!(&response.body, &oracle.expected[1].1);
+    assert_eq!(client.retries(), 0);
+
+    assert!(client.shutdown().unwrap().ok);
     router_thread.join().unwrap();
 }

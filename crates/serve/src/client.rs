@@ -19,9 +19,11 @@ use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
 
 use oha_faults::splitmix64;
-use oha_ir::Fingerprint;
 
-use crate::proto::{read_frame, write_frame, MetricsFormat, Request, Response, Tool};
+use crate::proto::{
+    cache_key_of_payload, is_shutdown_payload, read_frame, write_frame, MetricsFormat, Request,
+    Response, Tool,
+};
 
 /// Capped-exponential-backoff schedule for idempotent retries.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -183,13 +185,13 @@ impl Client {
     /// One request/response exchange on the current connection. Any
     /// error poisons the connection (a frame may be half-read or
     /// half-written), so it is dropped for the next attempt.
-    fn exchange(&mut self, request: &Request) -> io::Result<Response> {
+    fn exchange(&mut self, payload: &[u8]) -> io::Result<Response> {
         if self.conn.is_none() {
             self.reconnect()?;
         }
         let conn = self.conn.as_mut().expect("reconnect populated conn");
         let result = (|| {
-            write_frame(&mut conn.writer, &request.encode())?;
+            write_frame(&mut conn.writer, payload)?;
             let payload = read_frame(&mut conn.reader)?.ok_or_else(|| {
                 io::Error::new(io::ErrorKind::UnexpectedEof, "daemon closed the connection")
             })?;
@@ -209,13 +211,22 @@ impl Client {
     /// a *new* daemon instance on the same socket would not be
     /// idempotent).
     pub fn call(&mut self, request: &Request) -> io::Result<Response> {
-        if matches!(request, Request::Shutdown) {
-            return self.exchange(request);
+        self.call_encoded(&request.encode())
+    }
+
+    /// [`Client::call`] for a request that is already an encoded payload
+    /// (a router forwarding a client's frame verbatim). The payload is
+    /// sent as-is and never decoded; a `shutdown` op byte makes the call
+    /// single-shot. The backoff jitter key — the payload's cache key —
+    /// is hashed only once a retry actually happens.
+    pub fn call_encoded(&mut self, payload: &[u8]) -> io::Result<Response> {
+        if is_shutdown_payload(payload) {
+            return self.exchange(payload);
         }
-        let key = Fingerprint::of_bytes(&request.cache_key_bytes()).0 as u64;
+        let mut key = None;
         let mut attempt = 0u32;
         loop {
-            let outcome = self.exchange(request);
+            let outcome = self.exchange(payload);
             let retryable = match &outcome {
                 Ok(response) => response.busy,
                 Err(_) => true,
@@ -225,6 +236,7 @@ impl Client {
             }
             attempt += 1;
             self.retries += 1;
+            let key = *key.get_or_insert_with(|| cache_key_of_payload(payload).0 as u64);
             std::thread::sleep(self.config.retry.backoff(key, attempt));
         }
     }

@@ -10,6 +10,7 @@
 
 use std::io::{self, Read, Write as IoWrite};
 
+use oha_ir::{Fingerprint, FingerprintHasher};
 use oha_store::{CodecError, Reader, Writer};
 
 /// Upper bound on one frame's payload (16 MiB — a whole benchmark
@@ -114,6 +115,39 @@ const OP_STATS: u8 = 4;
 const OP_SHUTDOWN: u8 = 5;
 const OP_METRICS: u8 = 6;
 
+/// Width of the trace ID that ends every analyze payload.
+const TRACE_ID_LEN: usize = 8;
+
+/// Whether `payload` carries an analyze request, judged by its op byte
+/// alone — the payload may still fail to decode.
+pub fn is_analyze_payload(payload: &[u8]) -> bool {
+    payload.first() == Some(&OP_ANALYZE)
+}
+
+/// Whether `payload` carries a shutdown request, judged by its op byte.
+pub(crate) fn is_shutdown_payload(payload: &[u8]) -> bool {
+    payload.first() == Some(&OP_SHUTDOWN)
+}
+
+/// The cache key of an encoded request, computed from its payload
+/// without decoding or re-encoding it: the bytes stream through
+/// [`FingerprintHasher`], with the trailing trace ID of an analyze
+/// payload fed as zeros. For every decodable request this equals
+/// `Fingerprint::of_bytes(&request.cache_key_bytes())`, so LRU keys,
+/// shard homes and retry jitter agree whichever form a hop holds. Total
+/// over arbitrary bytes; an undecodable payload just gets some key.
+pub fn cache_key_of_payload(payload: &[u8]) -> Fingerprint {
+    let mut h = FingerprintHasher::new();
+    if is_analyze_payload(payload) && payload.len() > TRACE_ID_LEN {
+        let (body, _trace_id) = payload.split_at(payload.len() - TRACE_ID_LEN);
+        h.write(body);
+        h.write(&[0; TRACE_ID_LEN]);
+    } else {
+        h.write(payload);
+    }
+    h.finish()
+}
+
 impl Request {
     /// Serializes the request payload.
     pub fn encode(&self) -> Vec<u8> {
@@ -150,7 +184,9 @@ impl Request {
 
     /// The request's encoding with the trace ID zeroed — the daemon's
     /// LRU cache key, so identical analyses stay byte-identical (and
-    /// deduplicate) no matter which trace each one rides in.
+    /// deduplicate) no matter which trace each one rides in. Hops that
+    /// hold the encoded payload fingerprint it with
+    /// [`cache_key_of_payload`], which gives the same key.
     pub fn cache_key_bytes(&self) -> Vec<u8> {
         match self {
             Request::Analyze { trace_id, .. } if *trace_id != 0 => {
@@ -448,6 +484,63 @@ mod tests {
         assert_eq!(untraced.cache_key_bytes(), untraced.encode());
         // Non-analyze ops key on their plain encoding.
         assert_eq!(Request::Stats.cache_key_bytes(), Request::Stats.encode());
+    }
+
+    /// The payload-side key must equal the decoded-side definition for
+    /// every request shape; this is what catches a codec change that
+    /// moves the trace ID off the end of the analyze payload.
+    #[test]
+    fn payload_cache_key_matches_cache_key_bytes() {
+        let mut requests = vec![
+            Request::Stats,
+            Request::Metrics {
+                format: MetricsFormat::Json,
+            },
+            Request::Metrics {
+                format: MetricsFormat::Prometheus,
+            },
+            Request::Shutdown,
+        ];
+        for tool in [Tool::OptFt, Tool::OptSlice] {
+            for trace_id in [0, 1, u64::MAX] {
+                for (endpoints, profiling, testing) in [
+                    (vec![], vec![], vec![]),
+                    (
+                        vec![7, 42],
+                        vec![vec![1, 2], vec![-3]],
+                        vec![vec![], vec![i64::MIN]],
+                    ),
+                ] {
+                    requests.push(Request::Analyze {
+                        tool,
+                        program: "func @main() {\n}\n".to_string(),
+                        profiling,
+                        testing,
+                        endpoints,
+                        trace_id,
+                    });
+                }
+            }
+        }
+        for req in &requests {
+            assert_eq!(
+                cache_key_of_payload(&req.encode()),
+                Fingerprint::of_bytes(&req.cache_key_bytes()),
+                "{req:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn payload_cache_key_is_total_over_short_analyze_payloads() {
+        for len in 0..=TRACE_ID_LEN {
+            let mut payload = vec![0xA5; len];
+            if let Some(op) = payload.first_mut() {
+                *op = OP_ANALYZE;
+            }
+            let _ = cache_key_of_payload(&payload);
+            assert!(Request::decode(&payload).is_err(), "len {len}");
+        }
     }
 
     #[test]

@@ -43,7 +43,9 @@ use oha_obs::{Histogram, Json, TraceLog, DEFAULT_TRACE_CAPACITY};
 use oha_par::TaskPool;
 use oha_store::{Lru, Store};
 
-use crate::proto::{read_frame, write_frame, MetricsFormat, Request, Response, Tool};
+use crate::proto::{
+    cache_key_of_payload, read_frame, write_frame, MetricsFormat, Request, Response, Tool,
+};
 
 /// Daemon configuration.
 #[derive(Clone, Debug)]
@@ -593,7 +595,7 @@ fn handle_connection(stream: UnixStream, shared: &Arc<Shared>) {
         let decoded = Request::decode(&payload);
         let is_analyze = matches!(decoded, Ok(Request::Analyze { .. }));
         let response = match decoded {
-            Ok(request) => dispatch(request, shared, conn_tid),
+            Ok(request) => dispatch(request, &payload, shared, conn_tid),
             Err(e) => {
                 shared.errors.fetch_add(1, Ordering::Relaxed);
                 Response::err(format!("bad request: {e}"))
@@ -627,7 +629,7 @@ fn handle_connection(stream: UnixStream, shared: &Arc<Shared>) {
     }
 }
 
-fn dispatch(request: Request, shared: &Arc<Shared>, conn_tid: u64) -> Response {
+fn dispatch(request: Request, payload: &[u8], shared: &Arc<Shared>, conn_tid: u64) -> Response {
     match request {
         Request::Stats => Response::ok(shared.stats_json()),
         Request::Metrics { format } => Response::ok(match format {
@@ -641,11 +643,11 @@ fn dispatch(request: Request, shared: &Arc<Shared>, conn_tid: u64) -> Response {
             let _ = UnixStream::connect(&shared.socket);
             Response::ok("{\"shutting_down\":true}")
         }
-        Request::Analyze { .. } => analyze(request, shared, conn_tid),
+        Request::Analyze { .. } => analyze(request, payload, shared, conn_tid),
     }
 }
 
-fn analyze(request: Request, shared: &Arc<Shared>, conn_tid: u64) -> Response {
+fn analyze(request: Request, payload: &[u8], shared: &Arc<Shared>, conn_tid: u64) -> Response {
     // One trace groups everything this request causes, across the I/O
     // handler and the compute pipeline: the client's ID when it sent
     // one, a daemon-minted one otherwise (0 while tracing is off).
@@ -654,7 +656,7 @@ fn analyze(request: Request, shared: &Arc<Shared>, conn_tid: u64) -> Response {
         _ => shared.trace.next_trace_id(),
     };
     let span = shared.trace.begin("serve/request", trace_id, 0, conn_tid);
-    let mut response = analyze_inner(request, shared, trace_id, span, conn_tid);
+    let mut response = analyze_inner(request, payload, shared, trace_id, span, conn_tid);
     shared
         .trace
         .end("serve/request", trace_id, span, 0, conn_tid);
@@ -664,6 +666,7 @@ fn analyze(request: Request, shared: &Arc<Shared>, conn_tid: u64) -> Response {
 
 fn analyze_inner(
     request: Request,
+    payload: &[u8],
     shared: &Arc<Shared>,
     trace_id: u64,
     span: u64,
@@ -671,8 +674,9 @@ fn analyze_inner(
 ) -> Response {
     // Identical request bytes (trace ID aside) → identical canonical
     // response; serve repeats from the LRU front without touching a
-    // pipeline.
-    let key = Fingerprint::of_bytes(&request.cache_key_bytes());
+    // pipeline. The key hashes the payload in hand rather than
+    // re-encoding the decoded request.
+    let key = cache_key_of_payload(payload);
     if let Ok(mut lru) = shared.lru.lock() {
         if let Some(hit) = lru.get(&key) {
             shared.lru_hits.fetch_add(1, Ordering::Relaxed);
