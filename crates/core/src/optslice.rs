@@ -569,8 +569,7 @@ impl<'a> OptSlice<'a> {
     fn slice_endpoints(&self, tool: &GiriTool<'_>) -> DynamicSlice {
         let mut acc = DynamicSlice::default();
         for &e in &self.endpoints {
-            let s = tool.slice_of(e);
-            acc = merge(acc, s);
+            acc.union_with(&tool.slice_of(e));
         }
         acc
     }
@@ -654,14 +653,6 @@ fn compute_side(
         slice: static_slice,
         pt,
     }
-}
-
-fn merge(a: DynamicSlice, b: DynamicSlice) -> DynamicSlice {
-    // DynamicSlice does not expose a mutable union, so rebuild through the
-    // bit sets.
-    let mut bits = a.sites().clone();
-    bits.union_with(b.sites());
-    DynamicSlice::from_sites(bits)
 }
 
 #[cfg(test)]

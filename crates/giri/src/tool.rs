@@ -1,7 +1,5 @@
 //! The dynamic slicing tracer and trace-based backward slice extraction.
 
-use std::collections::HashMap;
-
 use oha_dataflow::BitSet;
 use oha_interp::{
     hooks, Addr, EventCtx, FrameId, InstrPlan, PlanElisions, ShadowMap, ThreadId, Tracer, Value,
@@ -43,12 +41,6 @@ impl DynamicSlice {
     /// The contributing instructions as a bit set.
     pub fn sites(&self) -> &BitSet {
         &self.insts
-    }
-
-    /// Builds a slice from a raw instruction bit set (useful for merging
-    /// the slices of several endpoints).
-    pub fn from_sites(insts: BitSet) -> Self {
-        Self { insts }
     }
 
     /// Unions another slice into this one.
@@ -94,13 +86,20 @@ pub struct GiriTool<'a> {
     /// Sites to trace; `None` = everything (pure dynamic Giri).
     filter: Option<&'a BitSet>,
     events: Vec<Event>,
-    last_def: HashMap<(u64, u32), u32>,
+    /// Event index of each register's last def (`NONE` if unwritten), one
+    /// row per activation indexed by [`FrameId`]. Rows grow on first write
+    /// and are recycled through `spare_rows` when their activation returns.
+    defs: Vec<Vec<u32>>,
+    /// Emptied rows of returned activations, kept for their capacity.
+    spare_rows: Vec<Vec<u32>>,
     /// Event index of the last store per address (`NONE` if unwritten),
     /// in dense shadow memory.
     last_store: ShadowMap<u32>,
     /// Output endpoints: (site, event index).
     outputs: Vec<(InstId, u32)>,
-    pending_spawn: HashMap<ThreadId, Option<u32>>,
+    /// Per thread index: the spawn argument's def awaiting the thread's
+    /// entry block (`NONE` if nothing is pending).
+    pending_spawn: Vec<u32>,
     counters: GiriCounters,
     /// Maximum trace events before the tool declares resource exhaustion.
     event_budget: Option<u64>,
@@ -125,10 +124,11 @@ impl<'a> GiriTool<'a> {
             program,
             filter,
             events: Vec::new(),
-            last_def: HashMap::new(),
+            defs: Vec::new(),
+            spare_rows: Vec::new(),
             last_store: ShadowMap::new(NONE),
             outputs: Vec::new(),
-            pending_spawn: HashMap::new(),
+            pending_spawn: Vec::new(),
             counters: GiriCounters::default(),
             event_budget: None,
             exhausted: false,
@@ -243,8 +243,9 @@ impl<'a> GiriTool<'a> {
     }
 
     fn def_of(&self, frame: FrameId, r: Reg) -> u32 {
-        self.last_def
-            .get(&(frame.0, r.raw()))
+        self.defs
+            .get(frame.0 as usize)
+            .and_then(|row| row.get(r.index()))
             .copied()
             .unwrap_or(NONE)
     }
@@ -271,7 +272,56 @@ impl<'a> GiriTool<'a> {
     }
 
     fn set_def(&mut self, frame: FrameId, r: Reg, ev: u32) {
-        self.last_def.insert((frame.0, r.raw()), ev);
+        let f = frame.0 as usize;
+        if f >= self.defs.len() {
+            self.defs.resize_with(f + 1, Vec::new);
+        }
+        let row = &mut self.defs[f];
+        let r = r.index();
+        if r >= row.len() {
+            if row.capacity() == 0 {
+                *row = self.spare_rows.pop().unwrap_or_default();
+            }
+            // Registers are zero-initialised, so IR may read one it never
+            // wrote: every slot not yet written reads `NONE`.
+            row.resize((r + 1).max(row.capacity()), NONE);
+        }
+        row[r] = ev;
+    }
+
+    /// Hands a returned activation's row back for reuse. Frame ids are
+    /// never reissued, so nothing reads the row under its old id again.
+    fn retire_frame(&mut self, frame: FrameId) {
+        if let Some(row) = self.defs.get_mut(frame.0 as usize) {
+            let mut row = std::mem::take(row);
+            if row.capacity() != 0 {
+                row.clear();
+                self.spare_rows.push(row);
+            }
+        }
+    }
+
+    /// Records a returned value as a def of the call's destination in the
+    /// caller, linked to the callee's def of the returned register.
+    fn link_return(
+        &mut self,
+        frame: FrameId,
+        value: Option<Value>,
+        operand: Option<Operand>,
+        caller_frame: FrameId,
+        call_inst: InstId,
+    ) {
+        if value.is_none() || !self.traced(call_inst) {
+            return;
+        }
+        let InstKind::Call { dst: Some(d), .. } = self.program.inst(call_inst).kind else {
+            return;
+        };
+        let dep = operand.map_or(NONE, |op| self.operand_dep(frame, op));
+        let ev = self.record(call_inst, [dep, NONE]);
+        if ev != NONE {
+            self.set_def(caller_frame, d, ev);
+        }
     }
 
     /// Backward slice from every dynamic occurrence of `endpoint`.
@@ -399,39 +449,28 @@ impl Tracer for GiriTool<'_> {
         caller_frame: FrameId,
         call_inst: InstId,
     ) {
-        if value.is_none() || !self.traced(call_inst) {
-            return;
-        }
-        let InstKind::Call { dst: Some(d), .. } = self.program.inst(call_inst).kind else {
-            return;
-        };
-        let dep = match operand {
-            Some(Operand::Reg(r)) => self.def_of(frame, r),
-            _ => NONE,
-        };
-        let ev = self.record(call_inst, [dep, NONE]);
-        if ev != NONE {
-            self.set_def(caller_frame, d, ev);
-        }
+        self.link_return(frame, value, operand, caller_frame, call_inst);
+        self.retire_frame(frame);
     }
 
     fn on_spawn(&mut self, ctx: EventCtx, child: ThreadId, _entry: oha_ir::FuncId) {
         let program = self.program;
         if let InstKind::Spawn { arg, .. } = program.inst(ctx.inst).kind {
-            let dep = match arg {
-                Operand::Reg(r) => {
-                    let d = self.def_of(ctx.frame, r);
-                    (d != NONE).then_some(d)
-                }
-                Operand::Const(_) => None,
-            };
-            self.pending_spawn.insert(child, dep);
+            let dep = self.operand_dep(ctx.frame, arg);
+            let slot = child.index();
+            if slot >= self.pending_spawn.len() {
+                self.pending_spawn.resize(slot + 1, NONE);
+            }
+            self.pending_spawn[slot] = dep;
         }
     }
 
     fn on_block_enter(&mut self, thread: ThreadId, frame: FrameId, _block: oha_ir::BlockId) {
-        if let Some(Some(d)) = self.pending_spawn.remove(&thread) {
-            self.set_def(frame, Reg::new(0), d);
+        if let Some(slot) = self.pending_spawn.get_mut(thread.index()) {
+            if *slot != NONE {
+                let d = std::mem::replace(slot, NONE);
+                self.set_def(frame, Reg::new(0), d);
+            }
         }
     }
 
@@ -664,5 +703,127 @@ mod tests {
         let g = run_full(&p, &[]);
         assert_eq!(g.trace_len(), 3);
         assert_eq!(g.counters().elided_events, 0);
+    }
+
+    fn first_two(p: &Program, pick: impl Fn(&InstKind) -> bool) -> (InstId, InstId) {
+        let ids: Vec<InstId> = p.inst_ids().filter(|&i| pick(&p.inst(i).kind)).collect();
+        assert_eq!(ids.len(), 2);
+        (ids[0], ids[1])
+    }
+
+    /// Each activation of a recursive function links its parameter to its
+    /// own caller's def.
+    #[test]
+    fn recursive_activations_keep_their_own_parameters() {
+        // main: rec(input, 1).
+        // rec(v, d): if d { rec(input, 0); out v } else { out v }.
+        let mut pb = ProgramBuilder::new();
+        let rec = pb.declare("rec", 2);
+        let mut m = pb.function("main", 0);
+        let x = m.input();
+        m.call_void(rec, vec![R(x), Const(1)]);
+        m.ret(None);
+        let main = pb.finish_function(m);
+        let mut f = pb.function("rec", 2);
+        let (v, d) = (f.param(0), f.param(1));
+        let recurse = f.block();
+        let base = f.block();
+        f.branch(R(d), recurse, base);
+        f.select(recurse);
+        let w = f.input();
+        f.call_void(rec, vec![R(w), Const(0)]);
+        f.output(R(v));
+        f.ret(None);
+        f.select(base);
+        f.output(R(v));
+        f.ret(None);
+        pb.finish_function(f);
+        let p = pb.finish(main).unwrap();
+        // `rec` is declared first, so its instructions come before main's.
+        let (inner_in, outer_in) = first_two(&p, |k| matches!(k, InstKind::Input { .. }));
+        let (outer_out, inner_out) = first_two(&p, |k| matches!(k, InstKind::Output { .. }));
+
+        let g = run_full(&p, &[1, 2]);
+        let outer = g.slice_of(outer_out);
+        assert!(outer.contains(outer_in) && !outer.contains(inner_in));
+        let inner = g.slice_of(inner_out);
+        assert!(inner.contains(inner_in) && !inner.contains(outer_in));
+    }
+
+    /// `f` writes `r` in its first activation only. Its second activation
+    /// takes over the first one's recycled row and reads `r` before
+    /// writing it, which must add no dependence.
+    #[test]
+    fn recycled_rows_read_as_unwritten() {
+        // main: f(1); f(0).
+        // f(flag): if flag { r = input } else { out r }.
+        let mut pb = ProgramBuilder::new();
+        let f_id = pb.declare("f", 1);
+        let mut m = pb.function("main", 0);
+        let one = m.copy(Const(1));
+        let zero = m.copy(Const(0));
+        m.call_void(f_id, vec![R(one)]);
+        m.call_void(f_id, vec![R(zero)]);
+        m.ret(None);
+        let main = pb.finish_function(m);
+        let mut f = pb.function("f", 1);
+        let r = f.reg();
+        let write = f.block();
+        let read = f.block();
+        f.branch(R(f.param(0)), write, read);
+        f.select(write);
+        let i = f.input();
+        f.copy_to(r, R(i));
+        f.ret(None);
+        f.select(read);
+        f.output(R(r));
+        f.ret(None);
+        pb.finish_function(f);
+        let p = pb.finish(main).unwrap();
+
+        let g = run_full(&p, &[7]);
+        let s = g.slice_all_outputs();
+        assert_eq!(s.len(), 1, "only the output itself: {:?}", s.sites());
+    }
+
+    /// A pending spawn argument reaches the child's entry `Reg(0)` even
+    /// when other threads enter blocks between the spawn and the child's
+    /// first block, and only the child receives it.
+    #[test]
+    fn spawn_argument_waits_for_its_own_thread() {
+        let mut pb = ProgramBuilder::new();
+        let w = pb.declare("w", 1);
+        let mut m = pb.function("main", 0);
+        let x = m.input();
+        let t = m.spawn(w, R(x));
+        m.join(R(t));
+        m.ret(None);
+        let main = pb.finish_function(m);
+        let mut f = pb.function("w", 1);
+        f.output(R(f.param(0)));
+        f.ret(None);
+        pb.finish_function(f);
+        let p = pb.finish(main).unwrap();
+        let find = |pick: fn(&InstKind) -> bool| p.inst_ids().find(|&i| pick(&p.inst(i).kind));
+        let input_i = find(|k| matches!(k, InstKind::Input { .. })).unwrap();
+        let spawn_i = find(|k| matches!(k, InstKind::Spawn { .. })).unwrap();
+        let out_i = find(|k| matches!(k, InstKind::Output { .. })).unwrap();
+        let at = |thread, frame, inst| EventCtx {
+            thread: ThreadId(thread),
+            frame: FrameId(frame),
+            inst,
+        };
+        let block = oha_ir::BlockId::new(0);
+
+        let mut g = GiriTool::full(&p);
+        g.on_input(at(0, 0, input_i), Value::Int(5));
+        g.on_spawn(at(0, 0, spawn_i), ThreadId(1), w);
+        g.on_block_enter(ThreadId(0), FrameId(0), block);
+        g.on_block_enter(ThreadId(2), FrameId(2), block);
+        g.on_block_enter(ThreadId(1), FrameId(1), block);
+        g.on_output(at(1, 1, out_i), Value::Int(5));
+
+        assert!(g.slice_all_outputs().contains(input_i));
+        assert_eq!(g.def_of(FrameId(2), Reg::new(0)), NONE);
     }
 }

@@ -63,6 +63,9 @@ impl RunProfile {
 pub struct ProfileTracer<'p> {
     program: &'p Program,
     profile: RunProfile,
+    /// Execution count per block index, folded into
+    /// [`RunProfile::block_counts`] by [`ProfileTracer::into_profile`].
+    block_counts: Vec<u64>,
     /// Per-thread call-site chains.
     stacks: Vec<Vec<InstId>>,
 }
@@ -73,12 +76,20 @@ impl<'p> ProfileTracer<'p> {
         Self {
             program,
             profile: RunProfile::default(),
+            block_counts: vec![0; program.num_blocks()],
             stacks: vec![Vec::new()],
         }
     }
 
     /// Consumes the profiler, yielding the gathered profile.
-    pub fn into_profile(self) -> RunProfile {
+    pub fn into_profile(mut self) -> RunProfile {
+        self.profile.block_counts = self
+            .block_counts
+            .iter()
+            .enumerate()
+            .filter(|&(_, &n)| n != 0)
+            .map(|(b, &n)| (BlockId::new(b as u32), n))
+            .collect();
         self.profile
     }
 
@@ -105,7 +116,7 @@ impl<'p> ProfileTracer<'p> {
 
 impl Tracer for ProfileTracer<'_> {
     fn on_block_enter(&mut self, _thread: ThreadId, _frame: FrameId, block: BlockId) {
-        *self.profile.block_counts.entry(block).or_insert(0) += 1;
+        self.block_counts[block.index()] += 1;
     }
 
     fn on_call(&mut self, ctx: EventCtx, callee: FuncId, _callee_frame: FrameId) {
@@ -116,11 +127,11 @@ impl Tracer for ProfileTracer<'_> {
                 .or_default()
                 .insert(callee);
         }
-        let stack = self.stack_mut(ctx.thread);
-        stack.push(ctx.inst);
-        if stack.len() <= MAX_CONTEXT_DEPTH {
-            let chain = stack.clone();
-            self.profile.contexts.insert(chain);
+        self.stack_mut(ctx.thread).push(ctx.inst);
+        let stack = &self.stacks[ctx.thread.index()];
+        // Look up before inserting so a known chain is not cloned.
+        if stack.len() <= MAX_CONTEXT_DEPTH && !self.profile.contexts.contains(stack.as_slice()) {
+            self.profile.contexts.insert(stack.clone());
         }
     }
 
