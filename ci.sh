@@ -124,12 +124,14 @@ for name, b in report["benches"].items():
 # with optimized-vs-reference solver timings and a per-thread-count
 # width sweep for every workload/config. The committed benchmark-scale
 # file is then restored and held to the same field checks, so a stale
-# artifact fails the gate instead of riding along unchecked.
+# artifact fails the gate instead of riding along unchecked. The
+# static- and dynamic-phase criterion suites run first.
 bench_static() {
     # Quick mode: without cargo-bench's --bench flag the vendored criterion
     # runs every bench body exactly once, so a broken bench fails the gate
     # in ~1s instead of a full measurement pass.
     OHA_SMOKE=1 cargo test --locked --release -q -p oha-bench --bench static_phase
+    OHA_SMOKE=1 cargo test --locked --release -q -p oha-bench --bench dynamic_phase
     OHA_SMOKE=1 ./scripts/bench_static.sh 1 >/dev/null
     check_bench_static smoke
     git checkout -- BENCH_static.json 2>/dev/null || true
@@ -149,46 +151,6 @@ static_parallel_smoke() {
             return 1
         }
     done
-}
-
-# Checks that BENCH_dynamic.json parses and carries every field the
-# current bench_dynamic harness emits. Argument: a label for error
-# messages ("smoke" or "committed").
-check_bench_dynamic() {
-    python3 -c '
-import json, sys
-with open("BENCH_dynamic.json") as f:
-    report = json.load(f)
-for key in ("harness", "host", "benches"):
-    if key not in report:
-        sys.exit(f"BENCH_dynamic.json: missing {key!r}")
-if not report["benches"]:
-    sys.exit("BENCH_dynamic.json: no benches recorded")
-for name, b in report["benches"].items():
-    for field in ("events", "optimistic_ref_s", "optimistic_fast_s",
-                  "optimistic_speedup", "optimistic_fast_events_per_s",
-                  "full_speedup", "hybrid_speedup", "dynamic_speedup"):
-        if field not in b:
-            sys.exit(f"BENCH_dynamic.json: {name} missing {field!r}")
-' || {
-        echo "bench-dynamic: $1 BENCH_dynamic.json unparsable or incomplete" >&2
-        return 1
-    }
-}
-
-# Dynamic-phase fast-path smoke: the criterion suite must run, and
-# scripts/bench_dynamic.sh must leave a parsable BENCH_dynamic.json with
-# fast-vs-reference timings per workload. bench_dynamic itself aborts
-# unless both configurations produce byte-identical canonical results,
-# so this stage is also an equivalence gate. The committed file is then
-# restored and held to the same field checks.
-bench_dynamic() {
-    # Quick mode: the vendored criterion runs every bench body once.
-    OHA_SMOKE=1 cargo test --locked --release -q -p oha-bench --bench dynamic_phase
-    OHA_SMOKE=1 OHA_DYN_REPS=1 ./scripts/bench_dynamic.sh 1 >/dev/null
-    check_bench_dynamic smoke
-    git checkout -- BENCH_dynamic.json 2>/dev/null || true
-    check_bench_dynamic committed
 }
 
 # Checks that BENCH_cluster.json parses and carries every field the
@@ -728,7 +690,6 @@ stage "cargo test (release)" cargo test --locked --release --workspace -q
 stage "bench-smoke (fig5 + table1, --json)" bench_smoke
 stage "static-parallel (thread-sweep byte-equality gate)" static_parallel_smoke
 stage "bench-static (probe_solver vs reference, BENCH_static.json)" bench_static
-stage "bench-dynamic-smoke (fast path vs reference, BENCH_dynamic.json)" bench_dynamic
 stage "store-smoke (16-client daemon round-trip + warm restart)" store_smoke
 stage "trace-smoke (Chrome trace export + live daemon metrics)" trace_smoke
 stage "bench-store-smoke (cold/warm + daemon, --json)" bench_store_smoke

@@ -1,19 +1,17 @@
-//! Criterion benchmarks for the dynamic-phase fast path: the interpreter
-//! step loop (pre-decoded operand/callee resolution, plan-gated dispatch),
-//! FastTrack's same-epoch fast path over dense vs spill-map shadow memory,
-//! and Giri's per-event append path.
+//! Criterion benchmarks for the dynamic phase: the interpreter step loop
+//! (pre-decoded operand/callee resolution, plan-gated dispatch),
+//! FastTrack's same-epoch fast path over dense shadow memory, and Giri's
+//! per-event append path.
 //!
 //! Run via `cargo bench --bench dynamic_phase`; `OHA_SMOKE=1` shrinks the
-//! workloads for CI. The fast/reference pairs force the process-global
-//! toggle around construction only — layouts are fixed at construction
-//! time, so the measured loops never consult the toggle.
+//! workloads for CI.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 
 use oha_fasttrack::{Detector, FastTrackTool};
 use oha_giri::GiriTool;
-use oha_interp::{fastpath, Addr, Machine, MachineConfig, NoopTracer, ObjId, ThreadId};
+use oha_interp::{Addr, Machine, MachineConfig, NoopTracer, ObjId, ThreadId};
 use oha_ir::InstId;
 use oha_workloads::{c_suite, java_suite, WorkloadParams};
 
@@ -21,14 +19,6 @@ fn small_params() -> WorkloadParams {
     // Criterion iterates each body many times; unit-test scale keeps a
     // full run under a few minutes while preserving the loop shapes.
     WorkloadParams::small()
-}
-
-/// Runs `f` with the fast path forced, clearing the override after.
-fn forced<T>(fast: bool, f: impl FnOnce() -> T) -> T {
-    fastpath::force(Some(fast));
-    let out = f();
-    fastpath::force(None);
-    out
 }
 
 fn bench_step_loop(c: &mut Criterion) {
@@ -63,22 +53,20 @@ fn bench_step_loop(c: &mut Criterion) {
 
 fn bench_fasttrack_epoch_fast_path(c: &mut Criterion) {
     let mut g = c.benchmark_group("fasttrack_shadow");
-    for (label, fast) in [("dense", true), ("spill", false)] {
-        g.bench_function(&format!("same_epoch_rw_{label}"), |b| {
-            let mut d = forced(fast, Detector::new);
-            d.fork(ThreadId(0), ThreadId(1));
-            let addrs: Vec<Addr> = (0..256u32).map(|i| Addr::new(ObjId(i), 0)).collect();
+    g.bench_function("same_epoch_rw_dense", |b| {
+        let mut d = Detector::new();
+        d.fork(ThreadId(0), ThreadId(1));
+        let addrs: Vec<Addr> = (0..256u32).map(|i| Addr::new(ObjId(i), 0)).collect();
+        for &a in &addrs {
+            d.write(ThreadId(0), a, InstId::new(1));
+        }
+        b.iter(|| {
             for &a in &addrs {
-                d.write(ThreadId(0), a, InstId::new(1));
+                d.write(ThreadId(0), black_box(a), InstId::new(1));
+                d.read(ThreadId(0), black_box(a), InstId::new(2));
             }
-            b.iter(|| {
-                for &a in &addrs {
-                    d.write(ThreadId(0), black_box(a), InstId::new(1));
-                    d.read(ThreadId(0), black_box(a), InstId::new(2));
-                }
-            });
         });
-    }
+    });
     g.finish();
 }
 
@@ -88,14 +76,12 @@ fn bench_giri_event_append(c: &mut Criterion) {
     let machine = Machine::new(&w.program, MachineConfig::default());
     let input = &w.testing_inputs[0];
     let mut g = c.benchmark_group("giri_append");
-    for (label, fast) in [("dense", true), ("spill", false)] {
-        g.bench_function(&format!("full_trace_{label}_{}", w.name), |b| {
-            b.iter(|| {
-                let mut tool = forced(fast, || GiriTool::full(&w.program));
-                machine.run(black_box(input), &mut tool);
-            });
+    g.bench_function(&format!("full_trace_dense_{}", w.name), |b| {
+        b.iter(|| {
+            let mut tool = GiriTool::full(&w.program);
+            machine.run(black_box(input), &mut tool);
         });
-    }
+    });
     g.finish();
 }
 

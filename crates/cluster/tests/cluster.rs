@@ -185,6 +185,7 @@ fn concurrent_clients_match_the_single_daemon_oracle_byte_for_byte() {
     let config = router_config(&dir);
     let socket = config.socket.clone();
     let router = Router::bind(config).unwrap();
+    wait_for_fleet(&router);
     let router_thread = thread::spawn(move || router.run().unwrap());
 
     thread::scope(|scope| {

@@ -5,7 +5,7 @@ use std::time::{Duration, Instant};
 
 use oha_dataflow::BitSet;
 use oha_fasttrack::FastTrackTool;
-use oha_interp::{fastpath, InstrPlan, Machine, MultiTracer, NoopTracer};
+use oha_interp::{InstrPlan, Machine, MultiTracer, NoopTracer};
 use oha_invariants::{ChecksEnabled, InvariantChecker, InvariantSet};
 use oha_ir::{InstId, InstKind, Program};
 use oha_obs::{MetricsRegistry, RunReport, SpanStat};
@@ -142,8 +142,6 @@ pub struct OptFt<'a> {
 
 /// Instrumentation plans for the dynamic phase, compiled once per
 /// pipeline run (they depend only on the program and the elision sets).
-/// Present exactly when the [`fastpath`] is enabled; `None` reproduces
-/// the reference dispatch-everything behaviour.
 struct OptFtPlans {
     full: InstrPlan,
     hybrid: InstrPlan,
@@ -401,8 +399,7 @@ impl<'a> OptFt<'a> {
 
         // Compile the per-instruction instrumentation plans once — they
         // depend only on the program and the static phase's elision sets.
-        let plans = fastpath::enabled()
-            .then(|| OptFtPlans::compile(program, &races_sound, &races_pred, &invariants));
+        let plans = OptFtPlans::compile(program, &races_sound, &races_pred, &invariants);
 
         // Phase 3: speculative dynamic analysis over the testing corpus.
         let dynamic_span = registry.span("dynamic");
@@ -418,7 +415,7 @@ impl<'a> OptFt<'a> {
                 &races_sound,
                 &races_pred,
                 &invariants,
-                plans.as_ref(),
+                &plans,
             );
             registry.observe_duration("optft.run.baseline_ns", run.baseline);
             registry.observe_duration("optft.run.optimistic_ns", run.optimistic + run.rollback);
@@ -508,7 +505,7 @@ impl<'a> OptFt<'a> {
         races_sound: &StaticRaces,
         races_pred: &StaticRaces,
         invariants: &InvariantSet,
-        plans: Option<&OptFtPlans>,
+        plans: &OptFtPlans,
     ) -> OptFtRun {
         let program = self.pipeline.program();
 
@@ -521,31 +518,25 @@ impl<'a> OptFt<'a> {
 
         let span = registry.span("full");
         let mut full = FastTrackTool::full();
-        machine.run_with_plan(input, &mut full, plans.map(|p| &p.full));
+        machine.run_with_plan(input, &mut full, Some(&plans.full));
         let full_time = span.finish();
-        if let Some(p) = plans {
-            full.absorb_plan_elisions(&p.full.take_elisions());
-        }
+        full.absorb_plan_elisions(&plans.full.take_elisions());
 
         let span = registry.span("hybrid");
         let mut hybrid = FastTrackTool::hybrid(races_sound.racy_sites());
-        machine.run_with_plan(input, &mut hybrid, plans.map(|p| &p.hybrid));
+        machine.run_with_plan(input, &mut hybrid, Some(&plans.hybrid));
         let hybrid_time = span.finish();
-        if let Some(p) = plans {
-            hybrid.absorb_plan_elisions(&p.hybrid.take_elisions());
-        }
+        hybrid.absorb_plan_elisions(&plans.hybrid.take_elisions());
 
         let span = registry.span("checker");
         let mut checker_only =
             InvariantChecker::new(program, invariants, ChecksEnabled::for_optft());
-        machine.run_with_plan(input, &mut checker_only, plans.map(|p| &p.checker));
+        machine.run_with_plan(input, &mut checker_only, Some(&plans.checker));
         let checker_only_time = span.finish();
-        if let Some(p) = plans {
-            // The checker counts only the checks it performs; its plan
-            // skips exactly the hooks it ignores, so there is nothing to
-            // absorb — just drain the tally.
-            p.checker.take_elisions();
-        }
+        // The checker counts only the checks it performs; its plan skips
+        // exactly the hooks it ignores, so there is nothing to absorb —
+        // just drain the tally.
+        plans.checker.take_elisions();
 
         // The speculative run: optimistic FastTrack + invariant checks,
         // with the schedule recorded so a mis-speculation can replay the
@@ -555,19 +546,14 @@ impl<'a> OptFt<'a> {
             FastTrackTool::optimistic(races_pred.racy_sites(), &invariants.elidable_locks);
         let checker = InvariantChecker::new(program, invariants, ChecksEnabled::for_optft());
         let mut combined = MultiTracer::new(opt_tool, checker);
-        let (_, schedule) = spec_machine.run_recording_with_plan(
-            input,
-            &mut combined,
-            plans.map(|p| &p.optimistic),
-        );
+        let (_, schedule) =
+            spec_machine.run_recording_with_plan(input, &mut combined, Some(&plans.optimistic));
         let optimistic_time = span.finish();
-        if let Some(p) = plans {
-            // Keeps the elision identity balanced: machine-side skips are
-            // exactly the accesses/lock ops the tool would have elided.
-            combined
-                .first
-                .absorb_plan_elisions(&p.optimistic.take_elisions());
-        }
+        // Keeps the elision identity balanced: machine-side skips are
+        // exactly the accesses/lock ops the tool would have elided.
+        combined
+            .first
+            .absorb_plan_elisions(&plans.optimistic.take_elisions());
         combined.first.record_metrics(registry, "optft.ft");
         combined.second.record_metrics(registry, "optft.check");
 
@@ -594,10 +580,8 @@ impl<'a> OptFt<'a> {
             // speculation did.
             let span = registry.span("rollback");
             let mut redo = FastTrackTool::hybrid(races_sound.racy_sites());
-            machine.run_replay_with_plan(input, &schedule, &mut redo, plans.map(|p| &p.hybrid));
-            if let Some(p) = plans {
-                redo.absorb_plan_elisions(&p.hybrid.take_elisions());
-            }
+            machine.run_replay_with_plan(input, &schedule, &mut redo, Some(&plans.hybrid));
+            redo.absorb_plan_elisions(&plans.hybrid.take_elisions());
             (redo.race_pairs(), span.finish())
         } else {
             (opt_races, Duration::ZERO)
@@ -739,26 +723,20 @@ fn validate_on_corpus(
     if elided.is_empty() {
         return (BTreeSet::new(), 0);
     }
-    let fast = fastpath::enabled();
-    let hybrid_plan = fast.then(|| FastTrackTool::plan_for(program, Some(sound_racy), None));
-    let opt_plan =
-        fast.then(|| FastTrackTool::plan_for(program, Some(races_pred.racy_sites()), Some(elided)));
+    let hybrid_plan = FastTrackTool::plan_for(program, Some(sound_racy), None);
+    let opt_plan = FastTrackTool::plan_for(program, Some(races_pred.racy_sites()), Some(elided));
     let mut runs = 0;
     for input in profiling {
         let mut sound = FastTrackTool::hybrid(sound_racy);
-        machine.run_with_plan(input, &mut sound, hybrid_plan.as_ref());
+        machine.run_with_plan(input, &mut sound, Some(&hybrid_plan));
         let mut opt = FastTrackTool::optimistic(races_pred.racy_sites(), elided);
-        machine.run_with_plan(input, &mut opt, opt_plan.as_ref());
+        machine.run_with_plan(input, &mut opt, Some(&opt_plan));
         runs += 2;
         // These tools' counters are never published, but the reused
         // plans' tallies must still be drained between runs so the
         // machine's end-of-run counter flush stays per-run exact.
-        if let Some(p) = &hybrid_plan {
-            p.take_elisions();
-        }
-        if let Some(p) = &opt_plan {
-            p.take_elisions();
-        }
+        hybrid_plan.take_elisions();
+        opt_plan.take_elisions();
         if !opt.race_pairs().is_subset(&sound.race_pairs()) {
             // Give up elision entirely on a false race: simple and sound.
             // A finer policy would de-elide only the offending class, as

@@ -3,7 +3,7 @@
 use std::time::{Duration, Instant};
 
 use oha_giri::{DynamicSlice, GiriTool};
-use oha_interp::{fastpath, InstrPlan, Machine, MultiTracer, NoopTracer};
+use oha_interp::{InstrPlan, Machine, MultiTracer, NoopTracer};
 use oha_invariants::{ChecksEnabled, InvariantChecker, InvariantSet};
 use oha_ir::{FingerprintHasher, InstId, Program};
 use oha_obs::{RunReport, SpanStat};
@@ -416,11 +416,9 @@ impl<'a> OptSlice<'a> {
                 + pred_report.slice_time,
         );
 
-        // Fast path: compile per-instruction instrumentation plans once and
-        // reuse them for every testing input. The reference path passes no
-        // plan and dispatches every event.
-        let plans = fastpath::enabled()
-            .then(|| OptSlicePlans::compile(program, &sound_slice, &pred_slice, &invariants));
+        // Compile per-instruction instrumentation plans once and reuse
+        // them for every testing input.
+        let plans = OptSlicePlans::compile(program, &sound_slice, &pred_slice, &invariants);
 
         let dynamic_span = registry.span("dynamic");
         let mut runs = Vec::with_capacity(testing.len());
@@ -433,23 +431,19 @@ impl<'a> OptSlice<'a> {
 
             let span = registry.span("hybrid");
             let mut hybrid = GiriTool::hybrid(program, sound_slice.sites());
-            machine.run_with_plan(input, &mut hybrid, plans.as_ref().map(|p| &p.hybrid));
+            machine.run_with_plan(input, &mut hybrid, Some(&plans.hybrid));
             let hybrid_time = span.finish();
-            if let Some(p) = &plans {
-                hybrid.absorb_plan_elisions(&p.hybrid.take_elisions());
-            }
+            hybrid.absorb_plan_elisions(&plans.hybrid.take_elisions());
             let hybrid_slice = self.slice_endpoints(&hybrid);
 
             let span = registry.span("checker");
             let mut checker_only =
                 InvariantChecker::new(program, &invariants, ChecksEnabled::for_optslice());
-            machine.run_with_plan(input, &mut checker_only, plans.as_ref().map(|p| &p.checker));
+            machine.run_with_plan(input, &mut checker_only, Some(&plans.checker));
             let checker_only_time = span.finish();
-            if let Some(p) = &plans {
-                // Nothing to absorb: the checker's stats count only the
-                // events its plan dispatches. Drain the tally for reuse.
-                p.checker.take_elisions();
-            }
+            // Nothing to absorb: the checker's stats count only the events
+            // its plan dispatches. Drain the tally for reuse.
+            plans.checker.take_elisions();
 
             // Speculative run with the schedule recorded for rollback.
             let span = registry.span("optimistic");
@@ -457,17 +451,12 @@ impl<'a> OptSlice<'a> {
             let checker =
                 InvariantChecker::new(program, &invariants, ChecksEnabled::for_optslice());
             let mut combined = MultiTracer::new(opt_tool, checker);
-            let (_, schedule) = spec_machine.run_recording_with_plan(
-                input,
-                &mut combined,
-                plans.as_ref().map(|p| &p.optimistic),
-            );
+            let (_, schedule) =
+                spec_machine.run_recording_with_plan(input, &mut combined, Some(&plans.optimistic));
             let optimistic_time = span.finish();
-            if let Some(p) = &plans {
-                combined
-                    .first
-                    .absorb_plan_elisions(&p.optimistic.take_elisions());
-            }
+            combined
+                .first
+                .absorb_plan_elisions(&plans.optimistic.take_elisions());
             combined.first.record_metrics(&registry, "optslice.giri");
             combined.second.record_metrics(&registry, "optslice.check");
 
@@ -481,16 +470,9 @@ impl<'a> OptSlice<'a> {
                 // hybrid slicer.
                 let span = registry.span("rollback");
                 let mut redo = GiriTool::hybrid(program, sound_slice.sites());
-                machine.run_replay_with_plan(
-                    input,
-                    &schedule,
-                    &mut redo,
-                    plans.as_ref().map(|p| &p.hybrid),
-                );
+                machine.run_replay_with_plan(input, &schedule, &mut redo, Some(&plans.hybrid));
                 let rollback_time = span.finish();
-                if let Some(p) = &plans {
-                    redo.absorb_plan_elisions(&p.hybrid.take_elisions());
-                }
+                redo.absorb_plan_elisions(&plans.hybrid.take_elisions());
                 (self.slice_endpoints(&redo), rollback_time)
             } else {
                 (self.slice_endpoints(&combined.first), Duration::ZERO)

@@ -2,7 +2,7 @@
 
 use std::collections::{BTreeSet, HashMap};
 
-use oha_interp::{fastpath, Addr, ShadowMap, ThreadId};
+use oha_interp::{Addr, ShadowMap, ThreadId};
 use oha_ir::InstId;
 
 use crate::vc::{Epoch, VectorClock};
@@ -108,12 +108,6 @@ pub struct Detector {
     vars: ShadowMap<VarState>,
     races: BTreeSet<RaceReport>,
     counters: DetectorCounters,
-    /// Captured at construction from [`fastpath::enabled`]. When the
-    /// fast path is toggled off, the sync paths reproduce the pre-plan
-    /// clone-per-acquire / clone-per-release cost profile so reference
-    /// benchmark runs measure the pre-change implementation. Detection
-    /// results are identical either way.
-    fast: bool,
 }
 
 impl Default for Detector {
@@ -124,7 +118,6 @@ impl Default for Detector {
             vars: ShadowMap::new(VarState::default()),
             races: BTreeSet::new(),
             counters: DetectorCounters::default(),
-            fast: fastpath::enabled(),
         }
     }
 }
@@ -276,36 +269,23 @@ impl Detector {
         }
     }
 
-    /// Lock acquire: `t` inherits the release clock of `m`. On the fast
-    /// path the release clock is joined in place — no clone (joining the
-    /// empty clock of a never-released lock is a no-op); the reference
-    /// configuration clones it per acquire as the pre-plan detector did.
+    /// Lock acquire: `t` inherits the release clock of `m`, joined in
+    /// place — no clone (joining the empty clock of a never-released
+    /// lock is a no-op).
     pub fn acquire(&mut self, t: ThreadId, m: Addr) {
         self.counters.sync_ops += 1;
         self.ensure_thread(t);
-        if self.fast {
-            let lm = self.locks.get(m);
-            self.threads[t.index()].join(lm);
-        } else {
-            let lm = self.locks.get(m).clone();
-            self.threads[t.index()].join(&lm);
-        }
+        let lm = self.locks.get(m);
+        self.threads[t.index()].join(lm);
     }
 
-    /// Lock release: `m` remembers `t`'s clock; `t` advances. On the
-    /// fast path the clock is copied into the lock's slot in place,
-    /// reusing its allocation; the reference configuration allocates a
-    /// fresh clone per release as the pre-plan detector did.
+    /// Lock release: `m` remembers `t`'s clock; `t` advances. The clock
+    /// is copied into the lock's slot in place, reusing its allocation.
     pub fn release(&mut self, t: ThreadId, m: Addr) {
         self.counters.sync_ops += 1;
         self.ensure_thread(t);
-        if self.fast {
-            let ct = &self.threads[t.index()];
-            self.locks.get_mut(m).copy_from(ct);
-        } else {
-            let ct = self.threads[t.index()].clone();
-            *self.locks.get_mut(m) = ct;
-        }
+        let ct = &self.threads[t.index()];
+        self.locks.get_mut(m).copy_from(ct);
         self.threads[t.index()].tick(t);
     }
 

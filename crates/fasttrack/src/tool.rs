@@ -3,7 +3,7 @@
 use std::collections::BTreeSet;
 
 use oha_dataflow::BitSet;
-use oha_interp::{fastpath, hooks, Addr, EventCtx, InstrPlan, PlanElisions, ThreadId, Tracer};
+use oha_interp::{hooks, Addr, EventCtx, InstrPlan, PlanElisions, ThreadId, Tracer};
 use oha_ir::{FuncId, InstId};
 use oha_ir::{InstKind, Program};
 
@@ -50,9 +50,7 @@ pub struct FastTrackTool<'a> {
     /// `elided_lock_bits`.
     elided_locks: Option<&'a BTreeSet<InstId>>,
     /// O(1) membership mirror of `elided_locks`, built at construction
-    /// when the fast path is enabled. The reference configuration leaves
-    /// it `None` and probes the `BTreeSet` per event, reproducing the
-    /// pre-change cost profile.
+    /// whenever `elided_locks` is given.
     elided_lock_bits: Option<BitSet>,
     counters: FastTrackCounters,
 }
@@ -91,8 +89,7 @@ impl<'a> FastTrackTool<'a> {
             mode: ToolMode::Optimistic,
             instrument: Some(racy_sites),
             elided_locks: Some(elidable_locks),
-            elided_lock_bits: fastpath::enabled()
-                .then(|| elidable_locks.iter().map(|i| i.index()).collect()),
+            elided_lock_bits: Some(elidable_locks.iter().map(|i| i.index()).collect()),
             counters: FastTrackCounters::default(),
         }
     }
@@ -204,11 +201,10 @@ impl<'a> FastTrackTool<'a> {
     }
 
     fn skip_lock(&mut self, site: InstId) -> bool {
-        let elided = match (&self.elided_lock_bits, self.elided_locks) {
-            (Some(bits), _) => bits.contains(site.index()),
-            (None, Some(set)) => set.contains(&site),
-            (None, None) => false,
-        };
+        let elided = self
+            .elided_lock_bits
+            .as_ref()
+            .is_some_and(|bits| bits.contains(site.index()));
         if elided {
             self.counters.elided_lock_ops += 1;
         }

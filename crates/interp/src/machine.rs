@@ -196,7 +196,7 @@ impl std::fmt::Display for RuntimeError {
 impl std::error::Error for RuntimeError {}
 
 /// The outcome of one execution.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct RunResult {
     /// Why the run stopped.
     pub status: Termination,
@@ -370,13 +370,6 @@ impl DecodedProgram {
             })
             .collect();
         let mut calls = vec![None; program.num_insts()];
-        if !crate::fastpath::enabled() {
-            // Reference configuration: leave every call site undecoded
-            // so it resolves (and arity-checks) per visit, as the
-            // pre-decode-free interpreter did. Behaviour is identical;
-            // only the per-call cost profile differs.
-            return Self { funcs, calls };
-        }
         for inst in program.insts() {
             let (callee, want_arity) = match &inst.kind {
                 InstKind::Call { callee, args, .. } => (callee, args.len()),
@@ -464,21 +457,16 @@ impl<'p> Machine<'p> {
         plan: Option<&InstrPlan>,
     ) -> RunResult {
         let sched = Scheduler::Random(SplitMix64(self.config.seed));
-        let mut counting = crate::tracer::CountingTracer {
-            inner: tracer,
-            counters: Rc::clone(&self.metrics),
-        };
-        Execution::new(
-            self.program,
-            &self.decoded,
-            self.config,
-            input,
-            sched,
-            Rc::clone(&self.metrics),
-            plan,
-        )
-        .run(&mut counting)
-        .0
+        self.execute(input, tracer, sched, plan, false).0
+    }
+
+    /// Test oracle: [`Machine::run`] with no plan, one instruction at a
+    /// time through the per-instruction step loop, dispatching every
+    /// hook. Production runs take the burst loop instead; tests compare
+    /// the two (results, events, tool state and hook totals must agree).
+    pub fn run_reference<T: Tracer>(&self, input: &[i64], tracer: &mut T) -> RunResult {
+        let sched = Scheduler::Random(SplitMix64(self.config.seed));
+        self.execute(input, tracer, sched, None, true).0
     }
 
     /// Executes the program while recording every scheduling decision;
@@ -501,22 +489,8 @@ impl<'p> Machine<'p> {
         plan: Option<&InstrPlan>,
     ) -> (RunResult, ScheduleTrace) {
         let sched = Scheduler::Recording(SplitMix64(self.config.seed), ScheduleTrace::default());
-        let mut counting = crate::tracer::CountingTracer {
-            inner: tracer,
-            counters: Rc::clone(&self.metrics),
-        };
-        let (result, sched) = Execution::new(
-            self.program,
-            &self.decoded,
-            self.config,
-            input,
-            sched,
-            Rc::clone(&self.metrics),
-            plan,
-        )
-        .run(&mut counting);
-        match sched {
-            Scheduler::Recording(_, trace) => (result, trace),
+        match self.execute(input, tracer, sched, plan, false) {
+            (result, Scheduler::Recording(_, trace)) => (result, trace),
             _ => unreachable!("recording scheduler preserved"),
         }
     }
@@ -543,6 +517,19 @@ impl<'p> Machine<'p> {
         plan: Option<&InstrPlan>,
     ) -> RunResult {
         let sched = Scheduler::Replaying(trace.clone(), 0);
+        self.execute(input, tracer, sched, plan, false).0
+    }
+
+    /// One execution under `sched`, with the machine's hook counters
+    /// wrapped around `tracer`.
+    fn execute<T: Tracer>(
+        &self,
+        input: &[i64],
+        tracer: &mut T,
+        sched: Scheduler,
+        plan: Option<&InstrPlan>,
+        stepwise: bool,
+    ) -> (RunResult, Scheduler) {
         let mut counting = crate::tracer::CountingTracer {
             inner: tracer,
             counters: Rc::clone(&self.metrics),
@@ -556,8 +543,7 @@ impl<'p> Machine<'p> {
             Rc::clone(&self.metrics),
             plan,
         )
-        .run(&mut counting)
-        .0
+        .run(&mut counting, stepwise)
     }
 }
 
@@ -577,15 +563,10 @@ struct Execution<'p, 'i> {
     counters: Rc<HookCounters>,
     /// Hook mask per site; `None` dispatches everything.
     plan: Option<&'i InstrPlan>,
-    /// Captured at construction from [`fastpath::enabled`]: selects the
-    /// tuned [`Execution::step_fast`] loop (frame resolved once per
-    /// instruction) over the reference [`Execution::step`]. Semantics,
-    /// event order and RNG draws are identical either way.
-    fast: bool,
-    /// Register storage recycled from popped frames (fast path only);
-    /// bounded by the deepest call stack the run reaches.
+    /// Register storage recycled from popped frames; bounded by the
+    /// deepest call stack the run reaches.
     regs_pool: Vec<Vec<Value>>,
-    /// Argument buffers recycled from frame creation (fast path only).
+    /// Argument buffers recycled from frame creation.
     argv_pool: Vec<Vec<Value>>,
 }
 
@@ -596,7 +577,7 @@ enum StepOutcome {
     Fault(RuntimeError),
 }
 
-/// Outcome of one whole scheduling slot on the tuned path.
+/// Outcome of one whole scheduling slot.
 enum SlotOutcome {
     /// The slot ran to completion (`yielded: false`, a preemption) or the
     /// thread gave up the remainder (`yielded: true`).
@@ -643,7 +624,6 @@ impl<'p, 'i> Execution<'p, 'i> {
             outputs: Vec::new(),
             counters,
             plan,
-            fast: crate::fastpath::enabled(),
             regs_pool: Vec::new(),
             argv_pool: Vec::new(),
         };
@@ -677,24 +657,16 @@ impl<'p, 'i> Execution<'p, 'i> {
         args: Vec<Value>,
         ret_to: Option<(Option<Reg>, InstId)>,
     ) -> Frame {
-        // Fast path: register storage comes from the pool of popped
-        // frames and the spent argument buffer goes back to its pool, so
-        // steady-state calls allocate nothing. Contents are identical to
-        // a fresh zeroed vector either way.
-        let mut regs = if self.fast {
-            let mut r = self.regs_pool.pop().unwrap_or_default();
-            r.clear();
-            r.resize(num_regs as usize, Value::default());
-            r
-        } else {
-            vec![Value::default(); num_regs as usize]
-        };
+        // Register storage comes from the pool of popped frames and the
+        // spent argument buffer goes back to its pool, so steady-state
+        // calls allocate nothing. Contents equal a fresh zeroed vector.
+        let mut regs = self.regs_pool.pop().unwrap_or_default();
+        regs.clear();
+        regs.resize(num_regs as usize, Value::default());
         regs[..args.len()].copy_from_slice(&args);
-        if self.fast {
-            let mut spent = args;
-            spent.clear();
-            self.argv_pool.push(spent);
-        }
+        let mut spent = args;
+        spent.clear();
+        self.argv_pool.push(spent);
         let frame_id = FrameId(self.next_frame);
         self.next_frame += 1;
         Frame {
@@ -771,7 +743,10 @@ impl<'p, 'i> Execution<'p, 'i> {
         }
     }
 
-    fn run<T: Tracer>(mut self, tracer: &mut T) -> (RunResult, Scheduler) {
+    /// Runs to termination. Each scheduling slot goes through the
+    /// burst loop [`Execution::step_slot`], or with `stepwise` through
+    /// [`Execution::step`] one instruction at a time (the test oracle).
+    fn run<T: Tracer>(mut self, tracer: &mut T, stepwise: bool) -> (RunResult, Scheduler) {
         // The main thread enters its entry block.
         {
             let frame = &self.threads[0].stack[0];
@@ -802,36 +777,16 @@ impl<'p, 'i> Execution<'p, 'i> {
             let (tid, slot) = self.scheduler.pick(&runnable, self.config.quantum);
             self.counters.sched_decisions.inc();
 
-            let mut fault = None;
-            let mut yielded = false;
-            if self.fast {
-                match self.step_slot(tid, slot, tracer) {
-                    SlotOutcome::Done { yielded: y } => yielded = y,
-                    SlotOutcome::Fault(e) => fault = Some(Termination::Error(e)),
-                    SlotOutcome::StepLimit => fault = Some(Termination::StepLimit),
-                }
+            let outcome = if stepwise {
+                self.step_slot_stepwise(tid, slot, tracer)
             } else {
-                for _ in 0..slot {
-                    if self.steps >= self.config.max_steps {
-                        fault = Some(Termination::StepLimit);
-                        break;
-                    }
-                    match self.step(tid, tracer) {
-                        StepOutcome::Continue => {}
-                        StepOutcome::Yield => {
-                            yielded = true;
-                            break;
-                        }
-                        StepOutcome::Fault(e) => {
-                            fault = Some(Termination::Error(e));
-                            break;
-                        }
-                    }
-                }
-            }
-            if let Some(status) = fault {
-                break status;
-            }
+                self.step_slot(tid, slot, tracer)
+            };
+            let yielded = match outcome {
+                SlotOutcome::Done { yielded } => yielded,
+                SlotOutcome::Fault(e) => break Termination::Error(e),
+                SlotOutcome::StepLimit => break Termination::StepLimit,
+            };
             // The slot ran out with the thread still willing to run: that is
             // a preemption, the scheduler event OptFT's framework cost models.
             if !yielded {
@@ -1063,8 +1018,8 @@ impl<'p, 'i> Execution<'p, 'i> {
     }
 
     /// Executes the rare control/sync instruction kinds (call, lock,
-    /// unlock, spawn, join). Shared verbatim by both step loops, so the
-    /// fast path cannot drift from the reference on the cold arms.
+    /// unlock, spawn, join), reached through [`Execution::step`] — also
+    /// from the burst loop's cold fallback.
     fn step_cold<T: Tracer>(
         &mut self,
         tid: ThreadId,
@@ -1102,13 +1057,8 @@ impl<'p, 'i> Execution<'p, 'i> {
                     }
                 };
                 let argv: Vec<Value> = {
-                    // The fast path reuses a pooled buffer (returned by
-                    // `make_frame_at`); the reference allocates per call.
-                    let mut argv = if self.fast {
-                        self.argv_pool.pop().unwrap_or_default()
-                    } else {
-                        Vec::with_capacity(args.len())
-                    };
+                    // A pooled buffer, returned by `make_frame_at`.
+                    let mut argv = self.argv_pool.pop().unwrap_or_default();
                     let frame = self.cur_frame(tid);
                     argv.extend(args.iter().map(|&a| Self::eval_in(frame, a)));
                     argv
@@ -1241,17 +1191,17 @@ impl<'p, 'i> Execution<'p, 'i> {
     }
 
     /// Runs one whole scheduling slot (up to `slot` steps of thread
-    /// `tid`) on the tuned path. Hot instructions — register computes,
-    /// loads/stores, jumps and branches — execute in a burst that keeps
-    /// the thread, frame, program and plan resolved across instructions
+    /// `tid`). Hot instructions — register computes, loads/stores,
+    /// jumps and branches — execute in a burst that keeps the thread,
+    /// frame, program and plan resolved across instructions
     /// (the plan, program and decode-table borrows are independent of
     /// `&mut self`, and every hot arm touches a disjoint field, so the
     /// frame borrow can live across iterations). Returns-with-a-caller
     /// and pre-decoded direct calls exit the burst just far enough for
     /// the frame borrow to die, pop/push the frame inline, and re-enter.
     /// Genuinely cold instructions — indirect calls, thread exits,
-    /// lock/unlock, spawn/join — fall back to [`Execution::step_fast`]
-    /// one instruction at a time. Step accounting, fault order, event
+    /// lock/unlock, spawn/join — fall back to [`Execution::step`] one
+    /// instruction at a time. Step accounting, fault order, event
     /// order and payloads are identical to running the slot through
     /// `step` `slot` times, so executions are bit-for-bit identical.
     fn step_slot<T: Tracer>(&mut self, tid: ThreadId, slot: u64, tracer: &mut T) -> SlotOutcome {
@@ -1276,7 +1226,7 @@ impl<'p, 'i> Execution<'p, 'i> {
         let plan = self.plan;
         let mut left = slot;
         while left > 0 {
-            // The reference loop checks the step budget before every
+            // `step_slot_stepwise` checks the step budget before every
             // step; the burst below never exceeds it, so checking once
             // per burst entry is equivalent.
             if self.steps >= self.config.max_steps {
@@ -1542,9 +1492,9 @@ impl<'p, 'i> Execution<'p, 'i> {
                         }
                     };
                     match exit {
-                        // Inline return: same pops, writes, event payload
-                        // and register recycling as
-                        // `step_terminator_fast`.
+                        // Inline return: same pops, writes and event
+                        // payload as `step_terminator`, plus register
+                        // recycling.
                         BurstExit::Ret(ret_op) => {
                             let mut popped =
                                 thread.stack.pop().expect("running thread has a frame");
@@ -1625,13 +1575,13 @@ impl<'p, 'i> Execution<'p, 'i> {
             self.steps += done;
             left -= done;
             if let Some(e) = fault {
-                // `done` includes the faulting step, as in `step_fast`.
+                // `done` includes the faulting step, as in `step`.
                 return SlotOutcome::Fault(e);
             }
             if cold {
                 // One cold instruction via the per-instruction path; the
                 // budget arithmetic above guarantees steps < max_steps.
-                match self.step_fast(tid, tracer) {
+                match self.step(tid, tracer) {
                     StepOutcome::Continue => left -= 1,
                     StepOutcome::Yield => return SlotOutcome::Done { yielded: true },
                     StepOutcome::Fault(e) => return SlotOutcome::Fault(e),
@@ -1641,181 +1591,26 @@ impl<'p, 'i> Execution<'p, 'i> {
         SlotOutcome::Done { yielded: false }
     }
 
-    /// Tuned step loop, selected when the fast path is enabled. Same
-    /// instruction semantics as [`Execution::step`], with the running
-    /// frame resolved once per instruction instead of once per
-    /// operand/register/pc access (the reference loop re-resolves it
-    /// through `eval`/`set_reg`/`advance_pc`). Fault checks happen in the
-    /// same order, events dispatch in the same order with identical
-    /// payloads, and the scheduler is untouched, so executions are
-    /// bit-for-bit identical across the two loops.
-    fn step_fast<T: Tracer>(&mut self, tid: ThreadId, tracer: &mut T) -> StepOutcome {
-        self.steps += 1;
-        let ti = tid.index();
-        let program: &'p Program = self.program;
-        // One mutable frame resolution serves fetch and execute alike;
-        // heap/input/output accesses below borrow disjoint fields.
-        let frame = self.threads[ti]
-            .stack
-            .last_mut()
-            .expect("running thread has a frame");
-        let (frame_id, block, pc) = (frame.frame_id, frame.block, frame.pc);
-        let block_data = program.block(block);
-
-        if pc >= block_data.insts.len() {
-            // Jump/Branch are the hot terminators (one per executed basic
-            // block): handled inline on the frame already in hand. Return
-            // and thread exit pop frames and go through the cold path.
-            match block_data.terminator {
-                Terminator::Jump(b) => {
-                    frame.block = b;
-                    frame.pc = 0;
-                    self.block_enter_event(tracer, tid, frame_id, b);
-                    return StepOutcome::Continue;
-                }
-                Terminator::Branch {
-                    cond,
-                    then_bb,
-                    else_bb,
-                } => {
-                    let b = if Self::eval_in(frame, cond).truthy() {
-                        then_bb
-                    } else {
-                        else_bb
-                    };
-                    frame.block = b;
-                    frame.pc = 0;
-                    self.block_enter_event(tracer, tid, frame_id, b);
-                    return StepOutcome::Continue;
-                }
-                Terminator::Return(_) => return self.step_terminator_fast(tid, block, tracer),
+    /// One scheduling slot as `slot` calls of [`Execution::step`],
+    /// checking the step budget before each: the reference that
+    /// [`Execution::step_slot`] must match.
+    fn step_slot_stepwise<T: Tracer>(
+        &mut self,
+        tid: ThreadId,
+        slot: u64,
+        tracer: &mut T,
+    ) -> SlotOutcome {
+        for _ in 0..slot {
+            if self.steps >= self.config.max_steps {
+                return SlotOutcome::StepLimit;
+            }
+            match self.step(tid, tracer) {
+                StepOutcome::Continue => {}
+                StepOutcome::Yield => return SlotOutcome::Done { yielded: true },
+                StepOutcome::Fault(e) => return SlotOutcome::Fault(e),
             }
         }
-
-        let inst_id = block_data.insts[pc].id;
-        let kind: &'p InstKind = &block_data.insts[pc].kind;
-        let pmask = match self.plan {
-            None => hooks::ALL,
-            Some(p) => p.mask(inst_id),
-        };
-
-        match *kind {
-            InstKind::Copy { dst, src } => {
-                let v = Self::eval_in(frame, src);
-                frame.regs[dst.index()] = v;
-                frame.pc += 1;
-                self.compute_event(tracer, pmask, tid, frame_id, inst_id);
-            }
-            InstKind::BinOp { dst, op, lhs, rhs } => {
-                let (a, b) = (Self::eval_in(frame, lhs), Self::eval_in(frame, rhs));
-                let v = match (a, b) {
-                    (Value::Int(x), Value::Int(y)) => Value::Int(op.eval(x, y)),
-                    _ => match op {
-                        oha_ir::BinOp::Cmp(CmpOp::Eq) => Value::Int(i64::from(a == b)),
-                        oha_ir::BinOp::Cmp(CmpOp::Ne) => Value::Int(i64::from(a != b)),
-                        _ => return StepOutcome::Fault(RuntimeError::NotAnInt { inst: inst_id }),
-                    },
-                };
-                frame.regs[dst.index()] = v;
-                frame.pc += 1;
-                self.compute_event(tracer, pmask, tid, frame_id, inst_id);
-            }
-            InstKind::Alloc { dst, fields } => {
-                let obj = self.heap.alloc(fields, inst_id);
-                frame.regs[dst.index()] = Value::Ptr(Addr::new(obj, 0));
-                frame.pc += 1;
-                self.compute_event(tracer, pmask, tid, frame_id, inst_id);
-            }
-            InstKind::AddrGlobal { dst, global } => {
-                frame.regs[dst.index()] = Value::Ptr(Addr::new(ObjId(global.raw()), 0));
-                frame.pc += 1;
-                self.compute_event(tracer, pmask, tid, frame_id, inst_id);
-            }
-            InstKind::AddrFunc { dst, func } => {
-                frame.regs[dst.index()] = Value::Func(func);
-                frame.pc += 1;
-                self.compute_event(tracer, pmask, tid, frame_id, inst_id);
-            }
-            InstKind::Gep { dst, base, field } => {
-                let a = match Self::eval_in(frame, base) {
-                    Value::Ptr(a) => a,
-                    _ => return StepOutcome::Fault(RuntimeError::NotAPointer { inst: inst_id }),
-                };
-                frame.regs[dst.index()] = Value::Ptr(a.offset(field));
-                frame.pc += 1;
-                self.compute_event(tracer, pmask, tid, frame_id, inst_id);
-            }
-            InstKind::Load { dst, addr, field } => {
-                let a = match Self::eval_in(frame, addr) {
-                    Value::Ptr(a) => a.offset(field),
-                    _ => return StepOutcome::Fault(RuntimeError::NotAPointer { inst: inst_id }),
-                };
-                let v = match self.heap.load(a) {
-                    Some(v) => v,
-                    None => {
-                        return StepOutcome::Fault(RuntimeError::OutOfBounds {
-                            inst: inst_id,
-                            addr: a,
-                        })
-                    }
-                };
-                frame.regs[dst.index()] = v;
-                frame.pc += 1;
-                if pmask & hooks::LOAD != 0 {
-                    tracer.on_load(ctx(tid, frame_id, inst_id), a, v);
-                } else {
-                    self.note_elided(|e| &e.loads);
-                }
-            }
-            InstKind::Store { addr, field, value } => {
-                let (av, v) = (Self::eval_in(frame, addr), Self::eval_in(frame, value));
-                let a = match av {
-                    Value::Ptr(a) => a.offset(field),
-                    _ => return StepOutcome::Fault(RuntimeError::NotAPointer { inst: inst_id }),
-                };
-                if !self.heap.store(a, v) {
-                    return StepOutcome::Fault(RuntimeError::OutOfBounds {
-                        inst: inst_id,
-                        addr: a,
-                    });
-                }
-                frame.pc += 1;
-                if pmask & hooks::STORE != 0 {
-                    tracer.on_store(ctx(tid, frame_id, inst_id), a, v);
-                } else {
-                    self.note_elided(|e| &e.stores);
-                }
-            }
-            InstKind::Input { dst } => {
-                let v = Value::Int(self.input.get(self.input_pos).copied().unwrap_or(0));
-                self.input_pos += 1;
-                frame.regs[dst.index()] = v;
-                frame.pc += 1;
-                if pmask & hooks::INPUT != 0 {
-                    tracer.on_input(ctx(tid, frame_id, inst_id), v);
-                } else {
-                    self.note_elided(|e| &e.inputs);
-                }
-            }
-            InstKind::Output { value } => {
-                let v = Self::eval_in(frame, value);
-                frame.pc += 1;
-                self.outputs.push((inst_id, v));
-                if pmask & hooks::OUTPUT != 0 {
-                    tracer.on_output(ctx(tid, frame_id, inst_id), v);
-                } else {
-                    self.note_elided(|e| &e.outputs);
-                }
-            }
-            InstKind::Call { .. }
-            | InstKind::Lock { .. }
-            | InstKind::Unlock { .. }
-            | InstKind::Spawn { .. }
-            | InstKind::Join { .. } => {
-                return self.step_cold(tid, tracer, frame_id, inst_id, kind, pmask)
-            }
-        }
-        StepOutcome::Continue
+        SlotOutcome::Done { yielded: false }
     }
 
     fn resolve_callee(
@@ -1920,78 +1715,6 @@ impl<'p, 'i> Execution<'p, 'i> {
             .expect("running thread has a frame");
         frame.block = b;
         frame.pc = 0;
-    }
-
-    /// Tuned terminator step used by [`Execution::step_fast`]: one frame
-    /// resolution per jump/branch, and popped frames return their
-    /// register storage to the pool. Same semantics, fault order and
-    /// event order as [`Execution::step_terminator`].
-    fn step_terminator_fast<T: Tracer>(
-        &mut self,
-        tid: ThreadId,
-        block: BlockId,
-        tracer: &mut T,
-    ) -> StepOutcome {
-        let program: &'p Program = self.program;
-        let terminator = &program.block(block).terminator;
-        let ti = tid.index();
-        match *terminator {
-            Terminator::Jump(_) | Terminator::Branch { .. } => {
-                unreachable!("jump/branch terminators are handled inline by step_fast")
-            }
-            Terminator::Return(op) => {
-                let mut frame = self.threads[ti]
-                    .stack
-                    .pop()
-                    .expect("running thread has a frame");
-                let value = op.map(|o| Self::eval_in(&frame, o));
-                let operand = op;
-                let out = match frame.ret_to {
-                    Some((dst, call_inst)) => {
-                        let caller = self.threads[ti]
-                            .stack
-                            .last_mut()
-                            .expect("caller frame exists");
-                        let caller_frame = caller.frame_id;
-                        if let (Some(d), Some(v)) = (dst, value) {
-                            caller.regs[d.index()] = v;
-                        }
-                        // `on_return` is gated by the CALL bit of the
-                        // call site the frame returns to (see plan.rs).
-                        if self.wants(call_inst, hooks::CALL) {
-                            tracer.on_return(
-                                tid,
-                                frame.frame_id,
-                                frame.func,
-                                value,
-                                operand,
-                                caller_frame,
-                                call_inst,
-                            );
-                        } else {
-                            self.note_elided(|e| &e.returns);
-                        }
-                        StepOutcome::Continue
-                    }
-                    None => {
-                        // Thread entry frame: the thread is done.
-                        self.threads[ti].state = ThreadState::Done;
-                        tracer.on_thread_exit(tid);
-                        let waiters = std::mem::take(&mut self.threads[ti].join_waiters);
-                        for w in waiters {
-                            if self.threads[w.index()].state == ThreadState::BlockedJoin(tid) {
-                                self.threads[w.index()].state = ThreadState::Runnable;
-                            }
-                        }
-                        StepOutcome::Yield
-                    }
-                };
-                let mut regs = std::mem::take(&mut frame.regs);
-                regs.clear();
-                self.regs_pool.push(regs);
-                out
-            }
-        }
     }
 }
 
@@ -2353,6 +2076,163 @@ mod tests {
         let p = pb.finish(main).unwrap();
         assert_eq!(run(&p, &[1]).output_values(), vec![10]);
         assert_eq!(run(&p, &[0]).output_values(), vec![25]);
+    }
+
+    /// Every event as `hook ctx payload` text, in dispatch order.
+    #[derive(Default)]
+    struct EventLog(Vec<String>);
+
+    impl Tracer for EventLog {
+        fn on_load(&mut self, ctx: EventCtx, a: Addr, v: Value) {
+            self.0.push(format!("load {ctx:?} {a:?} {v:?}"));
+        }
+        fn on_store(&mut self, ctx: EventCtx, a: Addr, v: Value) {
+            self.0.push(format!("store {ctx:?} {a:?} {v:?}"));
+        }
+        fn on_lock(&mut self, ctx: EventCtx, a: Addr) {
+            self.0.push(format!("lock {ctx:?} {a:?}"));
+        }
+        fn on_unlock(&mut self, ctx: EventCtx, a: Addr) {
+            self.0.push(format!("unlock {ctx:?} {a:?}"));
+        }
+        fn on_spawn(&mut self, ctx: EventCtx, child: ThreadId, entry: FuncId) {
+            self.0.push(format!("spawn {ctx:?} {child:?} {entry:?}"));
+        }
+        fn on_join(&mut self, ctx: EventCtx, child: ThreadId) {
+            self.0.push(format!("join {ctx:?} {child:?}"));
+        }
+        fn on_thread_exit(&mut self, t: ThreadId) {
+            self.0.push(format!("exit {t:?}"));
+        }
+        fn on_block_enter(&mut self, t: ThreadId, frame: FrameId, b: BlockId) {
+            self.0.push(format!("block {t:?} {frame:?} {b:?}"));
+        }
+        fn on_call(&mut self, ctx: EventCtx, f: FuncId, callee_frame: FrameId) {
+            self.0.push(format!("call {ctx:?} {f:?} {callee_frame:?}"));
+        }
+        fn on_return(
+            &mut self,
+            t: ThreadId,
+            frame: FrameId,
+            f: FuncId,
+            v: Option<Value>,
+            op: Option<Operand>,
+            caller: FrameId,
+            site: InstId,
+        ) {
+            self.0.push(format!(
+                "return {t:?} {frame:?} {f:?} {v:?} {op:?} {caller:?} {site:?}"
+            ));
+        }
+        fn on_input(&mut self, ctx: EventCtx, v: Value) {
+            self.0.push(format!("input {ctx:?} {v:?}"));
+        }
+        fn on_output(&mut self, ctx: EventCtx, v: Value) {
+            self.0.push(format!("output {ctx:?} {v:?}"));
+        }
+        fn on_compute(&mut self, ctx: EventCtx) {
+            self.0.push(format!("compute {ctx:?}"));
+        }
+    }
+
+    /// The burst loop hands indirect calls, lock/unlock, spawn/join and
+    /// thread exits to `step`; interleaved with hot arithmetic, loads,
+    /// stores and direct calls, the event stream must match the
+    /// per-instruction oracle exactly.
+    #[test]
+    fn cold_fallback_matches_reference_event_for_event() {
+        let mut pb = ProgramBuilder::new();
+        let g = pb.global("shared", 2); // field 0 = counter, field 1 = lock word
+        let worker = pb.declare("worker", 1);
+        let bump = pb.declare("bump", 1);
+        let twice = pb.declare("twice", 1);
+
+        let mut m = pb.function("main", 0);
+        let n = m.input();
+        let fw = m.addr_func(worker);
+        let t1 = m.spawn_indirect(R(fw), R(n));
+        let t2 = m.spawn(worker, R(n));
+        let fb = m.addr_func(bump);
+        let x = m.call_indirect(R(fb), vec![R(n)]);
+        let y = m.call(twice, vec![R(x)]);
+        m.output(R(y));
+        m.join(R(t1));
+        m.join(R(t2));
+        let ga = m.addr_global(g);
+        let v = m.load(R(ga), 0);
+        m.output(R(v));
+        m.ret(None);
+        let main = pb.finish_function(m);
+
+        let mut w = pb.function("worker", 1);
+        let iters = w.param(0);
+        let head = w.block();
+        let body = w.block();
+        let exit = w.block();
+        let ga = w.addr_global(g);
+        let lk = w.gep(R(ga), 1);
+        let fb = w.addr_func(bump);
+        let i = w.copy(Const(0));
+        w.jump(head);
+        w.select(head);
+        let c = w.cmp(oha_ir::CmpOp::Lt, R(i), R(iters));
+        w.branch(R(c), body, exit);
+        w.select(body);
+        let d = w.call_indirect(R(fb), vec![R(i)]);
+        w.lock(R(lk));
+        let v = w.load(R(ga), 0);
+        let v1 = w.bin(BinOp::Add, R(v), R(d));
+        w.store(R(ga), 0, R(v1));
+        w.unlock(R(lk));
+        let e = w.call(twice, vec![R(v1)]);
+        w.output(R(e));
+        let i1 = w.bin(BinOp::Add, R(i), Const(1));
+        w.copy_to(i, R(i1));
+        w.jump(head);
+        w.select(exit);
+        w.ret(None);
+        pb.finish_function(w);
+
+        let mut b = pb.function("bump", 1);
+        let x = b.bin(BinOp::Mul, R(b.param(0)), Const(3));
+        let x1 = b.bin(BinOp::Add, R(x), Const(1));
+        b.ret(Some(R(x1)));
+        pb.finish_function(b);
+
+        let mut t = pb.function("twice", 1);
+        let x = t.bin(BinOp::Add, R(t.param(0)), R(t.param(0)));
+        t.ret(Some(R(x)));
+        pb.finish_function(t);
+        let p = pb.finish(main).unwrap();
+
+        for seed in [1, 7, 42] {
+            for quantum in [1, 3] {
+                let config = MachineConfig {
+                    seed,
+                    quantum,
+                    ..MachineConfig::default()
+                };
+                let machine = Machine::new(&p, config);
+                let (mut burst, mut reference) = (EventLog::default(), EventLog::default());
+                let r1 = machine.run(&[5], &mut burst);
+                let r2 = machine.run_reference(&[5], &mut reference);
+                assert_eq!(
+                    r1.status,
+                    Termination::Exited,
+                    "seed {seed} quantum {quantum}"
+                );
+                assert_eq!(r1, r2, "seed {seed} quantum {quantum}");
+                assert_eq!(burst.0, reference.0, "seed {seed} quantum {quantum}");
+                for hook in [
+                    "call", "lock", "unlock", "spawn", "join", "exit", "load", "store",
+                ] {
+                    assert!(
+                        burst.0.iter().any(|e| e.starts_with(hook)),
+                        "no {hook} event (seed {seed} quantum {quantum})"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

@@ -11,15 +11,12 @@
 //! [`ShadowMap`] stores one lazily-grown row of values per object
 //! ("pages" keyed off the `Addr` layout) and falls back to a spill
 //! `HashMap` for addresses outside the dense window (huge object ids or
-//! field offsets, which only adversarial programs produce). A map
-//! constructed in *spill-only* mode is exactly the pre-optimization
-//! representation; the equivalence suite runs both modes side by side.
+//! field offsets, which only adversarial programs produce).
 //!
 //! The map has value semantics: every address implicitly holds `empty`
 //! until written, and no operation observes whether a slot was
-//! materialized, so dense and spill-only layouts are indistinguishable
-//! to callers. There is deliberately no iteration — iteration order
-//! would differ between layouts.
+//! materialized or which side of the window it lives on. There is
+//! deliberately no iteration — its order would depend on that split.
 
 use std::collections::HashMap;
 
@@ -35,50 +32,31 @@ const MAX_DENSE_FIELDS: usize = 1 << 12;
 pub struct ShadowMap<V> {
     /// The implicit value of every never-written address.
     empty: V,
-    /// Whether the dense rows are in use (fast path) or everything goes
-    /// through `spill` (reference path).
-    dense: bool,
     /// Per-object value rows, indexed by `Addr::obj` then `Addr::field`.
     rows: Vec<Vec<V>>,
-    /// Fallback for addresses outside the dense window — and the entire
-    /// store in spill-only mode.
+    /// Fallback for addresses outside the dense window.
     spill: HashMap<Addr, V>,
 }
 
 impl<V: Clone> ShadowMap<V> {
-    /// A shadow map whose layout follows the process-wide
-    /// [`fastpath`](crate::fastpath) toggle.
+    /// An empty shadow map in which every address holds `empty`.
     pub fn new(empty: V) -> Self {
-        Self::with_layout(empty, crate::fastpath::enabled())
-    }
-
-    /// A shadow map that keeps everything in the spill `HashMap` — the
-    /// reference representation the fast path is checked against.
-    pub fn spill_only(empty: V) -> Self {
-        Self::with_layout(empty, false)
-    }
-
-    /// A shadow map with an explicit layout choice.
-    pub fn with_layout(empty: V, dense: bool) -> Self {
         Self {
             empty,
-            dense,
             rows: Vec::new(),
             spill: HashMap::new(),
         }
     }
 
     #[inline]
-    fn in_dense_window(&self, a: Addr) -> bool {
-        self.dense
-            && (a.obj.0 as usize) < MAX_DENSE_OBJECTS
-            && (a.field as usize) < MAX_DENSE_FIELDS
+    fn in_dense_window(a: Addr) -> bool {
+        (a.obj.0 as usize) < MAX_DENSE_OBJECTS && (a.field as usize) < MAX_DENSE_FIELDS
     }
 
     /// The value at `a` (`empty` if never written). Never allocates.
     #[inline]
     pub fn get(&self, a: Addr) -> &V {
-        if self.in_dense_window(a) {
+        if Self::in_dense_window(a) {
             self.rows
                 .get(a.obj.0 as usize)
                 .and_then(|row| row.get(a.field as usize))
@@ -92,7 +70,7 @@ impl<V: Clone> ShadowMap<V> {
     /// slots on demand.
     #[inline]
     pub fn get_mut(&mut self, a: Addr) -> &mut V {
-        if self.in_dense_window(a) {
+        if Self::in_dense_window(a) {
             let obj = a.obj.0 as usize;
             if self.rows.len() <= obj {
                 self.rows.resize_with(obj + 1, Vec::new);
@@ -126,7 +104,7 @@ mod tests {
     }
 
     #[test]
-    fn dense_and_spill_layouts_agree() {
+    fn addresses_inside_and_outside_the_dense_window_read_back() {
         let probes = [
             addr(0, 0),
             addr(3, 7),
@@ -134,24 +112,21 @@ mod tests {
             addr(0x7fff_ffff, 5), // beyond the dense object window
             addr(2, (MAX_DENSE_FIELDS + 9) as u32), // beyond the dense field window
         ];
-        let mut dense = ShadowMap::with_layout(0u32, true);
-        let mut spill = ShadowMap::spill_only(0u32);
+        let mut m = ShadowMap::new(0u32);
         for (i, &a) in probes.iter().enumerate() {
-            assert_eq!(*dense.get(a), 0);
-            assert_eq!(*spill.get(a), 0);
-            dense.insert(a, i as u32 + 1);
-            spill.insert(a, i as u32 + 1);
+            assert_eq!(*m.get(a), 0);
+            assert_eq!(*m.get_mut(a), 0);
+            m.insert(a, i as u32 + 1);
         }
         for (i, &a) in probes.iter().enumerate() {
-            assert_eq!(*dense.get(a), i as u32 + 1);
-            assert_eq!(*spill.get(a), i as u32 + 1);
-            assert_eq!(*dense.get_mut(a), i as u32 + 1);
+            assert_eq!(*m.get(a), i as u32 + 1);
+            assert_eq!(*m.get_mut(a), i as u32 + 1);
         }
     }
 
     #[test]
     fn empty_value_is_configurable() {
-        let mut m = ShadowMap::with_layout(u32::MAX, true);
+        let mut m = ShadowMap::new(u32::MAX);
         assert_eq!(*m.get(addr(9, 9)), u32::MAX);
         *m.get_mut(addr(9, 9)) = 0;
         assert_eq!(*m.get(addr(9, 9)), 0);
