@@ -192,10 +192,22 @@ bench_cluster_smoke() {
     check_bench_cluster committed
 }
 
+# Checks a daemon stats JSON file's need_corpus counter. Arguments: the
+# stats file, then "some" (at least one) or "none" (exactly zero).
+need_corpus() {
+    python3 -c '
+import json, sys
+n = json.load(open(sys.argv[1]))["need_corpus"]
+if (n > 0) != (sys.argv[2] == "some"):
+    sys.exit(f"store-smoke: need_corpus is {n}, expected {sys.argv[2]}")
+' "$1" "$2"
+}
+
 # Store/daemon smoke: 16 concurrent clients against a cold daemon must
-# all get byte-identical canonical JSON; a fresh daemon warm-started on
-# the same artifact store must answer with the same bytes again; both
-# daemons must drain gracefully on `shutdown`.
+# all get byte-identical canonical JSON, and the cold daemon must report
+# at least one need-corpus answer; a fresh daemon warm-started on the
+# same artifact store must answer with the same bytes again and need no
+# corpus; both daemons must drain gracefully on `shutdown`.
 store_smoke() {
     local out
     out="$(mktemp -d)"
@@ -236,6 +248,9 @@ store_smoke() {
         echo "store-smoke: stats response is not JSON" >&2
         return 1
     }
+    # The cold store could not serve the first by-reference request, so
+    # at least one client had to resend its corpus inline.
+    need_corpus "$out/stats.json" some || return 1
     ./target/release/oha-client --socket "$sock" shutdown >/dev/null
     if ! wait "$daemon"; then
         echo "store-smoke: daemon did not drain cleanly" >&2
@@ -243,7 +258,7 @@ store_smoke() {
     fi
 
     # Warm restart on the populated store: identical bytes, no recompute
-    # of the static phases.
+    # of the static phases, and no corpus on the wire.
     ./target/release/oha-serve --socket "$sock" --store "$store" 2>"$out/serve2.log" &
     daemon=$!
     ./target/release/oha-client --socket "$sock" optft --program "$prog" >"$out/warm.json"
@@ -251,6 +266,8 @@ store_smoke() {
         echo "store-smoke: warm restart diverged from the cold result" >&2
         return 1
     fi
+    ./target/release/oha-client --socket "$sock" stats --raw >"$out/warm-stats.json"
+    need_corpus "$out/warm-stats.json" none || return 1
     ./target/release/oha-client --socket "$sock" shutdown >/dev/null
     if ! wait "$daemon"; then
         echo "store-smoke: warm daemon did not drain cleanly" >&2

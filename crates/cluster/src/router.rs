@@ -17,7 +17,10 @@
 //! every worker derives the same canonical bytes. Non-busy error
 //! responses (parse failures, bad endpoints) are *deterministic* —
 //! every worker would say the same — so they return to the client
-//! as-is, without failover.
+//! as-is, without failover. A typed need-corpus answer to a
+//! by-reference frame is one of those: it goes back to the client, which
+//! resends the corpus inline through the router to the same home worker
+//! (both forms share a key). The router itself never resends.
 //!
 //! Telemetry: `stats` and `metrics` fan out to every worker and merge.
 //! Counters sum; latency histograms merge bucket-by-bucket
@@ -358,6 +361,13 @@ impl Shared {
             "oha_busy_rejections_total",
             "Analyze requests shed Busy at worker queue bounds.",
             field("busy_rejections"),
+        );
+        prom::sample(
+            &mut out,
+            counter,
+            "oha_need_corpus_total",
+            "By-reference analyze requests answered need-corpus across the fleet.",
+            field("need_corpus"),
         );
         prom::sample(
             &mut out,

@@ -13,7 +13,9 @@ use std::thread;
 use std::time::{Duration, Instant};
 
 use oha_cluster::{Router, RouterConfig, SupervisorConfig, Topology, WorkerSpec};
-use oha_core::{optft_canonical_json, optslice_canonical_json, Pipeline};
+use oha_core::{
+    corpus_content_fingerprint, optft_canonical_json, optslice_canonical_json, Pipeline,
+};
 use oha_faults::FaultPlan;
 use oha_ir::{print_program, Fingerprint, InstKind, Operand, Program, ProgramBuilder};
 use oha_obs::Json;
@@ -470,6 +472,14 @@ fn payload_keys_route_every_request_to_its_cache_key_bytes_home() {
             let by_payload = cache_key_of_payload(&request.encode()).0 as u64;
             let by_bytes = Fingerprint::of_bytes(&request.cache_key_bytes()).0 as u64;
             assert_eq!(by_payload, by_bytes, "variant {variant}, {tool:?}");
+            // Both frame forms route to the same home.
+            let corpus = corpus_content_fingerprint(&profiling);
+            for frame in [
+                request.encode_by_reference(corpus),
+                request.encode_inline(corpus),
+            ] {
+                assert_eq!(cache_key_of_payload(&frame).0 as u64, by_payload);
+            }
             assert_eq!(topology.rank(by_payload), topology.rank(by_bytes));
             homes.push(topology.home(by_payload));
         }
@@ -478,9 +488,10 @@ fn payload_keys_route_every_request_to_its_cache_key_bytes_home() {
 }
 
 /// Home workers of [`payload_keys_route_every_request_to_its_cache_key_bytes_home`]'s
-/// requests, in order. They also depend on the program's printed text,
-/// so an IR printer change moves them without any routing change.
-const GOLDEN_HOMES: [usize; 8] = [2, 2, 2, 0, 2, 1, 0, 0];
+/// requests, in order. They also depend on the program's printed text
+/// and on the corpus fingerprint, so an IR printer change or a new
+/// corpus derivation moves them without any routing change.
+const GOLDEN_HOMES: [usize; 8] = [2, 1, 0, 1, 0, 2, 2, 0];
 
 #[test]
 fn trace_ids_survive_the_router_and_repeats_hit_the_lru() {
@@ -547,10 +558,17 @@ fn malformed_analyze_frames_get_the_workers_typed_error_without_failover() {
     // The analyze op byte, then a tool tag no codec version assigns.
     let mut garbage = vec![0xFF; 10];
     garbage[0] = valid[0];
+    // The retired analyze op, whose frames carried the whole corpus.
+    let mut retired = valid.clone();
+    retired[0] = 1;
 
     let failovers_before = cluster_field(&cluster_stats(&socket), "failovers");
     let mut client = Client::connect(&socket).unwrap();
-    for (name, payload) in [("truncated", &truncated), ("garbage", &garbage)] {
+    for (name, payload) in [
+        ("truncated", &truncated),
+        ("garbage", &garbage),
+        ("retired", &retired),
+    ] {
         let response = client.call_encoded(payload).unwrap();
         assert!(!response.ok && !response.busy, "{name}: {response:?}");
         assert!(
@@ -573,4 +591,58 @@ fn malformed_analyze_frames_get_the_workers_typed_error_without_failover() {
 
     assert!(client.shutdown().unwrap().ok);
     router_thread.join().unwrap();
+}
+
+/// A cold fleet answers a by-reference frame need-corpus. The router
+/// hands that answer back as it is: no failover, no router error. The
+/// client resends once, inline, to the same home worker, and the repeat
+/// is that worker's LRU hit.
+#[test]
+fn need_corpus_passes_through_the_router_without_failover_or_router_errors() {
+    let dir = tmp_dir("need-corpus");
+    let oracle = oracle();
+    let (profiling, testing) = &corpus_variants()[2];
+
+    let config = router_config(&dir);
+    let socket = config.socket.clone();
+    let router = Router::bind(config).unwrap();
+    wait_for_fleet(&router);
+    let router_thread = thread::spawn(move || router.run().unwrap());
+
+    let mut client = Client::connect(&socket).unwrap();
+    let first = client
+        .analyze(Tool::OptSlice, &oracle.text, profiling, testing, &[])
+        .unwrap();
+    assert!(first.ok, "{}", first.body);
+    assert_eq!(&first.body, &oracle.expected[2].1);
+    assert_eq!(client.corpus_resends(), 1);
+    let repeat = client
+        .analyze(Tool::OptSlice, &oracle.text, profiling, testing, &[])
+        .unwrap();
+    assert!(repeat.cached, "the resend landed on the home worker's LRU");
+    assert_eq!(repeat.body, first.body);
+    assert_eq!(client.corpus_resends(), 1);
+
+    let stats = cluster_stats(&socket);
+    assert_eq!(cluster_field(&stats, "failovers"), 0);
+    assert_eq!(cluster_field(&stats, "router_errors"), 0);
+    assert_eq!(
+        stats
+            .get("totals")
+            .and_then(|t| t.get("need_corpus"))
+            .and_then(Json::as_u64),
+        Some(1),
+        "the merged totals count the worker's need-corpus answer"
+    );
+    let metrics = client.metrics(MetricsFormat::Prometheus).unwrap();
+    assert!(
+        metrics.body.contains("oha_need_corpus_total 1"),
+        "{}",
+        metrics.body
+    );
+
+    assert!(client.shutdown().unwrap().ok);
+    let final_stats = router_thread.join().unwrap();
+    assert_eq!(final_stats.failovers, 0);
+    assert_eq!(final_stats.router_errors, 0);
 }

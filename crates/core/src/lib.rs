@@ -22,6 +22,11 @@
 //! * [`Pipeline::run_optslice`] — OptSlice, the optimistic dynamic backward
 //!   slicer (paper §5).
 //!
+//! Each also has a `_from` form ([`Pipeline::run_optft_from`],
+//! [`Pipeline::run_optslice_from`]) that may name the profiling corpus by
+//! its [`corpus_content_fingerprint`] alone ([`Corpus::Stored`]) and
+//! returns [`NeedCorpus`] when the store lacks what the run needs.
+//!
 //! Both report per-run wall-clock timings decomposed the way Figures 5 and
 //! 6 stack them (framework / invariant checks / analysis checks /
 //! rollbacks), plus the end-to-end break-even model of Tables 1 and 2
@@ -41,5 +46,8 @@ pub use breakeven::{break_even_seconds, CostModel};
 pub use canonical::{optft_canonical_json, optslice_canonical_json};
 pub use optft::{OptFt, OptFtOutcome, OptFtRun};
 pub use optslice::{OptSlice, OptSliceOutcome, OptSliceRun, StaticSideReport};
-pub use pipeline::{Pipeline, PipelineConfig, StoreConfig, STORE_DIR_ENV};
+pub use pipeline::{
+    corpus_content_fingerprint, Corpus, NeedCorpus, Pipeline, PipelineConfig, StoreConfig,
+    STORE_DIR_ENV,
+};
 pub use statespace::{state_space, StateSpace};

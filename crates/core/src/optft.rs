@@ -13,7 +13,7 @@ use oha_pointsto::{analyze, PointsTo, PointsToConfig, Sensitivity};
 use oha_races::{detect, MustLocksets, StaticRaces};
 use oha_store::{ArtifactKey, ArtifactKind, OptFtArtifact};
 
-use crate::pipeline::Pipeline;
+use crate::pipeline::{Corpus, NeedCorpus, Pipeline, RunCorpus, PATIENCE};
 
 /// One testing-input execution of OptFT and its baselines.
 #[derive(Clone, Debug)]
@@ -211,23 +211,22 @@ impl<'a> OptFt<'a> {
     /// this exact cold run would recompute.
     fn static_phase(
         &self,
-        profiling: &[Vec<i64>],
+        corpus: &RunCorpus<'_>,
         machine: &Machine<'_>,
         registry: &MetricsRegistry,
-    ) -> FtStatics {
+    ) -> Result<FtStatics, NeedCorpus> {
         let program = self.pipeline.program();
 
         // Phase 1: profile until the invariant set stabilizes (§6.1),
         // store-accelerated when a profile artifact is warm.
-        let (mut invariants, profile_time, profiling_used) =
-            self.pipeline.profile_phase(profiling, 6);
+        let (mut invariants, profile_time, profiling_used) = self.pipeline.profile_phase(corpus)?;
 
-        let key = self.pipeline.store().map(|_| {
+        let key = corpus.key().map(|corpus_key| {
             let predicate = invariants
                 .fingerprint()
-                .combine(self.pipeline.corpus_fingerprint(profiling, 6))
+                .combine(corpus_key)
                 .combine(self.pipeline.budget_fingerprint(false));
-            ArtifactKey::new(program.fingerprint(), predicate)
+            ArtifactKey::new(self.pipeline.program_fingerprint(), predicate)
         });
 
         if let (Some(store), Some(key)) = (self.pipeline.store(), &key) {
@@ -256,7 +255,7 @@ impl<'a> OptFt<'a> {
                         },
                     );
                 }
-                return FtStatics {
+                return Ok(FtStatics {
                     invariants: a.invariants,
                     profile_time,
                     elide_time: Duration::ZERO,
@@ -268,7 +267,7 @@ impl<'a> OptFt<'a> {
                     from_cache: true,
                     key: Some(*key),
                     pending: None,
-                };
+                });
             }
             registry.observe_duration("store.load.miss_ns", load_time);
             registry.trace_instant("store.optft.miss");
@@ -325,8 +324,8 @@ impl<'a> OptFt<'a> {
             &pt_pred,
             &races_pred,
             races_sound.racy_sites(),
-            profiling,
-        );
+            corpus,
+        )?;
         let elide_time = span.finish();
         registry.add("optft.elide.candidates", elision.candidates as u64);
         registry.add(
@@ -348,7 +347,7 @@ impl<'a> OptFt<'a> {
             elide_ns: elide_time.as_nanos() as u64,
         });
 
-        FtStatics {
+        Ok(FtStatics {
             invariants,
             profile_time,
             elide_time,
@@ -360,10 +359,14 @@ impl<'a> OptFt<'a> {
             from_cache: false,
             key,
             pending,
-        }
+        })
     }
 
-    pub(crate) fn run(self, profiling: &[Vec<i64>], testing: &[Vec<i64>]) -> OptFtOutcome {
+    pub(crate) fn run(
+        self,
+        profiling: Corpus<'_>,
+        testing: &[Vec<i64>],
+    ) -> Result<OptFtOutcome, NeedCorpus> {
         let program = self.pipeline.program();
         let registry = self.pipeline.metrics().clone();
         let machine = Machine::new(program, self.pipeline.config().machine);
@@ -376,7 +379,8 @@ impl<'a> OptFt<'a> {
         let pipeline_span = registry.span("optft");
 
         // Phases 1 + 2, warm or cold.
-        let statics = self.static_phase(profiling, &machine, &registry);
+        let corpus = self.pipeline.run_corpus(profiling, PATIENCE);
+        let statics = self.static_phase(&corpus, &machine, &registry)?;
         let FtStatics {
             invariants,
             profile_time,
@@ -480,7 +484,7 @@ impl<'a> OptFt<'a> {
             );
         }
         outcome.report = report;
-        outcome
+        Ok(outcome)
     }
 
     fn pt_config<'i>(&self, invariants: Option<&'i InvariantSet>) -> PointsToConfig<'i> {
@@ -623,28 +627,35 @@ struct Elision {
 /// no access, and only accesses report races, so it reports none on any
 /// input — trivially a subset of the sound detector's races, which is all
 /// [`validate_on_corpus`] checks. It would return the candidates unchanged.
+/// With no candidates there is nothing to validate either. Only the
+/// remaining case reads the corpus.
 fn validate_elidable_locks(
     program: &Program,
     machine: &Machine<'_>,
     pt_pred: &PointsTo,
     races_pred: &StaticRaces,
     sound_racy: &BitSet,
-    profiling: &[Vec<i64>],
-) -> Elision {
+    corpus: &RunCorpus<'_>,
+) -> Result<Elision, NeedCorpus> {
     let (proposed, racy_access) = propose_elidable_locks(program, pt_pred, races_pred);
     let candidates = proposed.len();
-    let (sites, validation_runs) = if racy_access {
+    let (sites, validation_runs) = if racy_access && !proposed.is_empty() {
         validate_on_corpus(
-            program, machine, races_pred, sound_racy, &proposed, profiling,
+            program,
+            machine,
+            races_pred,
+            sound_racy,
+            &proposed,
+            corpus.inputs()?,
         )
     } else {
         (proposed, 0)
     };
-    Elision {
+    Ok(Elision {
         sites,
         candidates,
         validation_runs,
-    }
+    })
 }
 
 /// Groups lock/unlock sites into alias classes (shared lock cells) and
@@ -711,7 +722,8 @@ fn propose_elidable_locks(
 
 /// The validation loop: runs the elided detector on the profiling corpus
 /// and compares against the sound hybrid detector. Returns the validated
-/// sites and the detector executions spent.
+/// sites and the detector executions spent. `elided` is non-empty: an
+/// empty candidate set is decided without the corpus.
 fn validate_on_corpus(
     program: &Program,
     machine: &Machine<'_>,
@@ -720,9 +732,6 @@ fn validate_on_corpus(
     elided: &BTreeSet<InstId>,
     profiling: &[Vec<i64>],
 ) -> (BTreeSet<InstId>, usize) {
-    if elided.is_empty() {
-        return (BTreeSet::new(), 0);
-    }
     let hybrid_plan = FastTrackTool::plan_for(program, Some(sound_racy), None);
     let opt_plan = FastTrackTool::plan_for(program, Some(races_pred.racy_sites()), Some(elided));
     let mut runs = 0;
@@ -927,6 +936,74 @@ mod tests {
             "the flag orders the data"
         );
         assert_eq!(outcome.optimistic_races, outcome.baseline_races);
+    }
+
+    fn store_dir(name: &str) -> std::path::PathBuf {
+        let dir =
+            std::env::temp_dir().join(format!("oha-optft-stored-{}-{name}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        dir
+    }
+
+    fn stored_pipeline(program: Program, dir: &std::path::Path) -> Pipeline {
+        let store = oha_store::Store::open(dir.to_path_buf()).unwrap();
+        Pipeline::new(program).with_store(std::sync::Arc::new(store))
+    }
+
+    /// A run given only the corpus fingerprint needs the corpus exactly
+    /// where it would read it: without a store, on a profile miss, and in
+    /// lock-elision validation on a static miss. Everything else is
+    /// served from the store with the inline run's bytes.
+    #[test]
+    fn stored_corpus_runs_need_the_corpus_only_where_they_read_it() {
+        let profiling: Vec<Vec<i64>> = (1..5).map(|n| vec![n]).collect();
+        let testing: Vec<Vec<i64>> = (5..7).map(|n| vec![n]).collect();
+        let stored = Corpus::Stored(crate::corpus_content_fingerprint(&profiling));
+        let storeless = Pipeline::new(flag_handoff());
+        assert_eq!(
+            storeless.run_optft_from(stored, &testing).unwrap_err(),
+            NeedCorpus
+        );
+
+        // Elision is validated on the corpus for this program: with only
+        // the profile artifact warm, the static miss still needs it.
+        let dirs = [store_dir("validate"), store_dir("static")];
+        let pipeline = stored_pipeline(flag_handoff(), &dirs[0]);
+        assert_eq!(
+            pipeline.run_optft_from(stored, &testing).unwrap_err(),
+            NeedCorpus,
+            "profile miss"
+        );
+        let corpus = pipeline.run_corpus(Corpus::Inputs(&profiling), PATIENCE);
+        pipeline.profile_phase(&corpus).unwrap();
+        assert_eq!(
+            pipeline.run_optft_from(stored, &testing).unwrap_err(),
+            NeedCorpus,
+            "validation on a static miss"
+        );
+        let inline = pipeline.run_optft(&profiling, &testing);
+        let warm = pipeline.run_optft_from(stored, &testing).unwrap();
+        assert_eq!(
+            crate::optft_canonical_json(&warm),
+            crate::optft_canonical_json(&inline)
+        );
+
+        // Elision decided statically: the profile artifact is enough.
+        let profiling: Vec<Vec<i64>> = (1..5).map(|n| vec![n * 10]).collect();
+        let stored = Corpus::Stored(crate::corpus_content_fingerprint(&profiling));
+        let pipeline = stored_pipeline(locked_counter(), &dirs[1]);
+        let corpus = pipeline.run_corpus(Corpus::Inputs(&profiling), PATIENCE);
+        pipeline.profile_phase(&corpus).unwrap();
+        let from_profile = pipeline.run_optft_from(stored, &[vec![7]]).unwrap();
+        assert_eq!(
+            crate::optft_canonical_json(&from_profile),
+            crate::optft_canonical_json(
+                &Pipeline::new(locked_counter()).run_optft(&profiling, &[vec![7]])
+            )
+        );
+        for dir in dirs {
+            let _ = std::fs::remove_dir_all(dir);
+        }
     }
 
     /// An input-dependent cold path makes the LUC invariant fail on a

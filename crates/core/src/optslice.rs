@@ -11,7 +11,7 @@ use oha_pointsto::{analyze, PointsTo, PointsToConfig, Sensitivity};
 use oha_slicing::{slice, SliceConfig, StaticSlice};
 use oha_store::{ArtifactKey, ArtifactKind, OptSliceArtifact, StaticSideArtifact};
 
-use crate::pipeline::Pipeline;
+use crate::pipeline::{Corpus, NeedCorpus, Pipeline, RunCorpus, PATIENCE};
 
 /// One static-analysis side (sound or predicated) of Table 2.
 #[derive(Clone, Debug)]
@@ -250,18 +250,18 @@ impl<'a> OptSlice<'a> {
     /// budget, which decides the CS→CI fallback).
     fn static_phase(
         &self,
-        profiling: &[Vec<i64>],
+        corpus: &RunCorpus<'_>,
         registry: &oha_obs::MetricsRegistry,
-    ) -> SliceStatics {
+    ) -> Result<SliceStatics, NeedCorpus> {
         let program = self.pipeline.program();
-        let (invariants, profile_time, profiling_used) = self.pipeline.profile_phase(profiling, 6);
+        let (invariants, profile_time, profiling_used) = self.pipeline.profile_phase(corpus)?;
 
         let key = self.pipeline.store().map(|_| {
             let predicate = invariants
                 .fingerprint()
                 .combine(self.endpoints_fingerprint())
                 .combine(self.pipeline.budget_fingerprint(true));
-            ArtifactKey::new(program.fingerprint(), predicate)
+            ArtifactKey::new(self.pipeline.program_fingerprint(), predicate)
         });
 
         if let (Some(store), Some(key)) = (self.pipeline.store(), &key) {
@@ -295,7 +295,7 @@ impl<'a> OptSlice<'a> {
                         },
                     );
                 }
-                return SliceStatics {
+                return Ok(SliceStatics {
                     invariants: a.invariants,
                     profile_time,
                     profiling_used,
@@ -306,7 +306,7 @@ impl<'a> OptSlice<'a> {
                     from_cache: true,
                     key: Some(*key),
                     pending: None,
-                };
+                });
             }
             registry.observe_duration("store.load.miss_ns", load_time);
             registry.trace_instant("store.optslice.miss");
@@ -368,7 +368,7 @@ impl<'a> OptSlice<'a> {
             None
         };
 
-        SliceStatics {
+        Ok(SliceStatics {
             invariants,
             profile_time,
             profiling_used,
@@ -379,10 +379,14 @@ impl<'a> OptSlice<'a> {
             from_cache: false,
             key,
             pending,
-        }
+        })
     }
 
-    pub(crate) fn run(self, profiling: &[Vec<i64>], testing: &[Vec<i64>]) -> OptSliceOutcome {
+    pub(crate) fn run(
+        self,
+        profiling: Corpus<'_>,
+        testing: &[Vec<i64>],
+    ) -> Result<OptSliceOutcome, NeedCorpus> {
         let program = self.pipeline.program();
         let registry = self.pipeline.metrics().clone();
         let machine = Machine::new(program, self.pipeline.config().machine);
@@ -393,7 +397,8 @@ impl<'a> OptSlice<'a> {
             .with_metrics(&registry, "optslice.spec");
         let pipeline_span = registry.span("optslice");
 
-        let statics = self.static_phase(profiling, &registry);
+        let corpus = self.pipeline.run_corpus(profiling, PATIENCE);
+        let statics = self.static_phase(&corpus, &registry)?;
         let SliceStatics {
             invariants,
             profile_time,
@@ -545,7 +550,7 @@ impl<'a> OptSlice<'a> {
             );
         }
         outcome.report = report;
-        outcome
+        Ok(outcome)
     }
 
     fn slice_endpoints(&self, tool: &GiriTool<'_>) -> DynamicSlice {

@@ -1,6 +1,7 @@
 //! The shared pipeline scaffolding: configuration, the profiling phase,
 //! and the artifact-store plumbing both tools share.
 
+use std::cell::OnceCell;
 use std::env;
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -21,6 +22,68 @@ use crate::optslice::OptSliceOutcome;
 /// When set (and non-empty), [`StoreConfig::from_env`] returns a config
 /// pointing at it; a default [`Pipeline`] stays uncached.
 pub const STORE_DIR_ENV: &str = "OHA_STORE_DIR";
+
+/// The profiling patience both tools run with: profiling stops once
+/// this many consecutive runs add no new invariant facts (§6.1).
+pub(crate) const PATIENCE: usize = 6;
+
+/// The profiling corpus a run reads.
+#[derive(Clone, Copy, Debug)]
+pub enum Corpus<'a> {
+    /// The inputs themselves.
+    Inputs(&'a [Vec<i64>]),
+    /// Only the inputs' [`corpus_content_fingerprint`]. The run serves
+    /// every corpus-derived phase from the artifact store and returns
+    /// [`NeedCorpus`] at the first point that would read the inputs.
+    Stored(Fingerprint),
+}
+
+/// A [`Corpus::Stored`] run reached a point that reads the profiling
+/// corpus: a profile-artifact miss (or no store at all), or OptFT's
+/// lock-elision validation on a static-phase miss when elision is not
+/// decided statically. Rerunning with [`Corpus::Inputs`] completes it.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct NeedCorpus;
+
+/// Content fingerprint of a profiling corpus: the inputs alone, with no
+/// machine configuration or patience. The daemon protocol names a corpus
+/// by this value, and [`Pipeline::corpus_fingerprint`] folds it into the
+/// store key, so the corpus is hashed at most once per run.
+pub fn corpus_content_fingerprint(inputs: &[Vec<i64>]) -> Fingerprint {
+    let mut h = FingerprintHasher::new();
+    h.write(b"oha-corpus-content-v1");
+    h.write_u64(inputs.len() as u64);
+    for input in inputs {
+        h.write_u64(input.len() as u64);
+        for &v in input {
+            h.write_u64(v as u64);
+        }
+    }
+    h.finish()
+}
+
+/// One run's profiling corpus together with the store key derived from
+/// it, computed once and shared by every phase that keys on the corpus.
+pub(crate) struct RunCorpus<'a> {
+    inputs: Option<&'a [Vec<i64>]>,
+    patience: usize,
+    /// [`Pipeline::corpus_fingerprint`]; present exactly when a store is
+    /// configured.
+    key: Option<Fingerprint>,
+}
+
+impl<'a> RunCorpus<'a> {
+    /// The inputs, or [`NeedCorpus`] when the run was given only their
+    /// fingerprint.
+    pub(crate) fn inputs(&self) -> Result<&'a [Vec<i64>], NeedCorpus> {
+        self.inputs.ok_or(NeedCorpus)
+    }
+
+    /// The corpus side of every store key this run derives.
+    pub(crate) fn key(&self) -> Option<Fingerprint> {
+        self.key
+    }
+}
 
 /// Where (and whether) the pipeline persists static-phase artifacts.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -136,6 +199,9 @@ pub struct Pipeline {
     /// The one worker pool every phase shares, sized when the
     /// configuration is set (see [`Pipeline::pool`]).
     pool: Pool,
+    /// [`Program::fingerprint`], computed on first use: it prints and
+    /// hashes the whole program.
+    program_fingerprint: OnceCell<Fingerprint>,
 }
 
 /// The pool sizing rule shared by every phase:
@@ -162,6 +228,7 @@ impl Pipeline {
             metrics,
             store: None,
             pool,
+            program_fingerprint: OnceCell::new(),
         };
         me.record_pool_built();
         me
@@ -228,6 +295,13 @@ impl Pipeline {
     /// The program under analysis.
     pub fn program(&self) -> &Program {
         &self.program
+    }
+
+    /// The program's [`Program::fingerprint`], computed once per pipeline.
+    pub fn program_fingerprint(&self) -> Fingerprint {
+        *self
+            .program_fingerprint
+            .get_or_init(|| self.program.fingerprint())
     }
 
     /// The configuration.
@@ -327,25 +401,46 @@ impl Pipeline {
     /// Stable fingerprint of a profiling corpus plus everything the
     /// profiling phase consults besides the program: the interpreter
     /// configuration (seed, step budget, quantum) and the stopping
-    /// patience. Equal fingerprints guarantee byte-identical merged
-    /// invariant sets, which is what makes the fingerprint a safe cache
-    /// key.
+    /// patience, combined with the corpus's
+    /// [`corpus_content_fingerprint`]. Equal fingerprints guarantee
+    /// byte-identical merged invariant sets, which is what makes the
+    /// fingerprint a safe cache key.
     pub fn corpus_fingerprint(&self, inputs: &[Vec<i64>], patience: usize) -> Fingerprint {
+        self.corpus_key(corpus_content_fingerprint(inputs), patience)
+    }
+
+    /// [`Pipeline::corpus_fingerprint`] from the corpus's content
+    /// fingerprint.
+    fn corpus_key(&self, content: Fingerprint, patience: usize) -> Fingerprint {
         let mut h = FingerprintHasher::new();
-        h.write(b"oha-corpus-v1");
+        h.write(b"oha-corpus-v2");
         let m = &self.config.machine;
         h.write_u64(m.seed);
         h.write_u64(m.max_steps);
         h.write_u64(u64::from(m.quantum));
         h.write_u64(patience as u64);
-        h.write_u64(inputs.len() as u64);
-        for input in inputs {
-            h.write_u64(input.len() as u64);
-            for &v in input {
-                h.write_u64(v as u64);
-            }
+        h.finish().combine(content)
+    }
+
+    /// Resolves a run's corpus, hashing the inputs only when a store is
+    /// configured and the caller did not already name them by
+    /// fingerprint.
+    pub(crate) fn run_corpus<'c>(&self, corpus: Corpus<'c>, patience: usize) -> RunCorpus<'c> {
+        let key = self.store.as_ref().map(|_| {
+            let content = match corpus {
+                Corpus::Inputs(inputs) => corpus_content_fingerprint(inputs),
+                Corpus::Stored(content) => content,
+            };
+            self.corpus_key(content, patience)
+        });
+        RunCorpus {
+            inputs: match corpus {
+                Corpus::Inputs(inputs) => Some(inputs),
+                Corpus::Stored(_) => None,
+            },
+            patience,
+            key,
         }
-        h.finish()
     }
 
     /// Fingerprint of the static-analysis budgets a cached phase consults.
@@ -366,7 +461,7 @@ impl Pipeline {
     /// with the corpus fingerprint.
     pub fn profile_key(&self, inputs: &[Vec<i64>], patience: usize) -> ArtifactKey {
         ArtifactKey::new(
-            self.program.fingerprint(),
+            self.program_fingerprint(),
             self.corpus_fingerprint(inputs, patience),
         )
     }
@@ -381,13 +476,13 @@ impl Pipeline {
     /// the `cached/profile` span so reports can still account for it.
     pub(crate) fn profile_phase(
         &self,
-        inputs: &[Vec<i64>],
-        patience: usize,
-    ) -> (InvariantSet, Duration, usize) {
-        let Some(store) = self.store.clone() else {
-            return self.profile_until_stable(inputs, patience);
+        corpus: &RunCorpus<'_>,
+    ) -> Result<(InvariantSet, Duration, usize), NeedCorpus> {
+        let patience = corpus.patience;
+        let (Some(store), Some(corpus_key)) = (self.store.clone(), corpus.key()) else {
+            return Ok(self.profile_until_stable(corpus.inputs()?, patience));
         };
-        let key = self.profile_key(inputs, patience);
+        let key = ArtifactKey::new(self.program_fingerprint(), corpus_key);
         let start = std::time::Instant::now();
         let loaded = store.load_profile(&key);
         let load_time = start.elapsed();
@@ -407,12 +502,12 @@ impl Pipeline {
                 },
             );
             span.finish();
-            return (artifact.invariants, elapsed, artifact.runs_used as usize);
+            return Ok((artifact.invariants, elapsed, artifact.runs_used as usize));
         }
         self.metrics
             .observe_duration("store.load.miss_ns", load_time);
         self.metrics.trace_instant("store.profile.miss");
-        let (invariants, time, used) = self.profile_until_stable(inputs, patience);
+        let (invariants, time, used) = self.profile_until_stable(corpus.inputs()?, patience);
         let artifact = ProfileArtifact {
             invariants: invariants.clone(),
             runs_used: used as u64,
@@ -421,12 +516,23 @@ impl Pipeline {
         if store.save_profile(&key, &artifact).is_err() {
             self.metrics.add("store.save_errors", 1);
         }
-        (invariants, time, used)
+        Ok((invariants, time, used))
     }
 
     /// Runs the full OptFT pipeline (profile → predicated static race
     /// detection → speculative FastTrack with rollback) and every baseline.
     pub fn run_optft(&self, profiling: &[Vec<i64>], testing: &[Vec<i64>]) -> OptFtOutcome {
+        self.run_optft_from(Corpus::Inputs(profiling), testing)
+            .expect("a run given its inputs never needs them")
+    }
+
+    /// [`Pipeline::run_optft`] on a corpus that may be named only by its
+    /// fingerprint; see [`NeedCorpus`] for when that is not enough.
+    pub fn run_optft_from(
+        &self,
+        profiling: Corpus<'_>,
+        testing: &[Vec<i64>],
+    ) -> Result<OptFtOutcome, NeedCorpus> {
         crate::optft::OptFt::new(self).run(profiling, testing)
     }
 
@@ -437,6 +543,18 @@ impl Pipeline {
         testing: &[Vec<i64>],
         endpoints: &[InstId],
     ) -> OptSliceOutcome {
+        self.run_optslice_from(Corpus::Inputs(profiling), testing, endpoints)
+            .expect("a run given its inputs never needs them")
+    }
+
+    /// [`Pipeline::run_optslice`] on a corpus that may be named only by
+    /// its fingerprint; see [`NeedCorpus`] for when that is not enough.
+    pub fn run_optslice_from(
+        &self,
+        profiling: Corpus<'_>,
+        testing: &[Vec<i64>],
+        endpoints: &[InstId],
+    ) -> Result<OptSliceOutcome, NeedCorpus> {
         crate::optslice::OptSlice::new(self, endpoints.to_vec()).run(profiling, testing)
     }
 }

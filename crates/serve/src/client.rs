@@ -12,18 +12,31 @@
 //! fetch from the LRU/store) the same canonical result. Backoff jitter
 //! is deterministic — keyed off the request's cache-key fingerprint and
 //! the attempt number — so a chaos run replays byte-identically.
+//!
+//! Corpora travel by reference: [`Client::call`] names an analyze
+//! request's profiling corpus by its content fingerprint, remembered for
+//! the last [`CORPUS_MEMO_SIZE`] corpora, and sends the corpus itself only
+//! when the daemon answers need-corpus — once, inline.
 
 use std::io::{self, BufReader, BufWriter};
 use std::os::unix::net::UnixStream;
 use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
 
+use oha_core::corpus_content_fingerprint;
 use oha_faults::splitmix64;
+use oha_ir::Fingerprint;
 
 use crate::proto::{
     cache_key_of_payload, is_shutdown_payload, read_frame, write_frame, MetricsFormat, Request,
     Response, Tool,
 };
+
+/// How many profiling corpora a [`Client`] remembers the content
+/// fingerprints of. A caller cycles through a few corpora (one per
+/// program it analyzes); each one remembered saves hashing it, about a
+/// megabyte for a benchmark-scale corpus, on every request.
+pub const CORPUS_MEMO_SIZE: usize = 4;
 
 /// Capped-exponential-backoff schedule for idempotent retries.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -143,6 +156,10 @@ pub struct Client {
     config: ClientConfig,
     conn: Option<Conn>,
     retries: u64,
+    /// Recently used corpora with their content fingerprints, most
+    /// recent first.
+    corpus_memo: Vec<(Vec<Vec<i64>>, Fingerprint)>,
+    corpus_resends: u64,
 }
 
 impl Client {
@@ -158,6 +175,8 @@ impl Client {
             config,
             conn: None,
             retries: 0,
+            corpus_memo: Vec::with_capacity(CORPUS_MEMO_SIZE),
+            corpus_resends: 0,
         };
         client.reconnect()?;
         Ok(client)
@@ -167,6 +186,27 @@ impl Client {
     /// errors plus backoffs after `Busy` responses).
     pub fn retries(&self) -> u64 {
         self.retries
+    }
+
+    /// Analyze requests resent with their corpus inline after a
+    /// need-corpus answer.
+    pub fn corpus_resends(&self) -> u64 {
+        self.corpus_resends
+    }
+
+    /// The content fingerprint of `corpus`, from the memo when an equal
+    /// corpus is there (compared by value, not hashed again).
+    fn corpus_fingerprint(&mut self, corpus: &[Vec<i64>]) -> Fingerprint {
+        let entry = match self.corpus_memo.iter().position(|(c, _)| c == corpus) {
+            Some(i) => self.corpus_memo.remove(i),
+            None => {
+                self.corpus_memo.truncate(CORPUS_MEMO_SIZE - 1);
+                (corpus.to_vec(), corpus_content_fingerprint(corpus))
+            }
+        };
+        let fingerprint = entry.1;
+        self.corpus_memo.insert(0, entry);
+        fingerprint
     }
 
     fn reconnect(&mut self) -> io::Result<()> {
@@ -209,16 +249,27 @@ impl Client {
     /// errors and `Busy` load-sheds with capped exponential backoff —
     /// except for `shutdown`, which is single-shot (replaying it against
     /// a *new* daemon instance on the same socket would not be
-    /// idempotent).
+    /// idempotent). An analyze request goes by reference first; a
+    /// need-corpus answer is followed by exactly one inline resend.
     pub fn call(&mut self, request: &Request) -> io::Result<Response> {
-        self.call_encoded(&request.encode())
+        let Request::Analyze { profiling, .. } = request else {
+            return self.call_encoded(&request.encode());
+        };
+        let corpus = self.corpus_fingerprint(profiling);
+        let response = self.call_encoded(&request.encode_by_reference(corpus))?;
+        if !response.is_need_corpus() {
+            return Ok(response);
+        }
+        self.corpus_resends += 1;
+        self.call_encoded(&request.encode_inline(corpus))
     }
 
     /// [`Client::call`] for a request that is already an encoded payload
     /// (a router forwarding a client's frame verbatim). The payload is
     /// sent as-is and never decoded; a `shutdown` op byte makes the call
-    /// single-shot. The backoff jitter key — the payload's cache key —
-    /// is hashed only once a retry actually happens.
+    /// single-shot, and a need-corpus answer is returned, not resent. The
+    /// backoff jitter key — the payload's cache key — is hashed only once
+    /// a retry actually happens.
     pub fn call_encoded(&mut self, payload: &[u8]) -> io::Result<Response> {
         if is_shutdown_payload(payload) {
             return self.exchange(payload);
@@ -321,6 +372,40 @@ mod tests {
         for attempt in 6..40 {
             assert!(policy.backoff(1, attempt) < Duration::from_secs(1));
         }
+    }
+
+    #[test]
+    fn the_corpus_memo_matches_by_value_and_keeps_the_most_recent() {
+        let mut client = Client {
+            socket: PathBuf::new(),
+            config: ClientConfig::default(),
+            conn: None,
+            retries: 0,
+            corpus_memo: Vec::new(),
+            corpus_resends: 0,
+        };
+        let corpora: Vec<Vec<Vec<i64>>> = (0..=CORPUS_MEMO_SIZE as i64)
+            .map(|n| vec![vec![n], vec![n, n]])
+            .collect();
+        for corpus in &corpora {
+            assert_eq!(
+                client.corpus_fingerprint(corpus),
+                corpus_content_fingerprint(corpus)
+            );
+        }
+        assert_eq!(client.corpus_memo.len(), CORPUS_MEMO_SIZE);
+        assert!(
+            client.corpus_memo.iter().all(|(c, _)| c != &corpora[0]),
+            "the least recently used corpus is evicted"
+        );
+        // An equal corpus in a fresh allocation hits and moves to the front.
+        let again = corpora[1].clone();
+        assert_eq!(
+            client.corpus_fingerprint(&again),
+            corpus_content_fingerprint(&corpora[1])
+        );
+        assert_eq!(client.corpus_memo[0].0, corpora[1]);
+        assert_eq!(client.corpus_memo.len(), CORPUS_MEMO_SIZE);
     }
 
     #[test]

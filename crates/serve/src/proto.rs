@@ -7,9 +7,25 @@
 //! [`oha_store::Writer`]/[`oha_store::Reader`], so the same truncation
 //! and bad-tag discipline the on-disk artifacts enjoy applies on the
 //! wire: decoding is total over arbitrary bytes.
+//!
+//! An analyze frame names its profiling corpus by content fingerprint
+//! ([`corpus_content_fingerprint`]) and comes in two forms:
+//!
+//! ```text
+//! op · tool · program · corpus fingerprint · testing · endpoints · trace ID · [corpus] · corpus length
+//! ```
+//!
+//! The *by-reference* form leaves the corpus out (its trailing length is
+//! 0); the *inline* form carries it, with its byte length last. Both forms
+//! of a request share one cache key: the hash of the frame with the trace
+//! ID zeroed and the corpus left out ([`cache_key_of_payload`]), so
+//! neither form's key reads the corpus. A daemon whose store lacks what a
+//! by-reference run needs answers with a typed need-corpus status (its
+//! own response status byte), and the client resends once, inline.
 
 use std::io::{self, Read, Write as IoWrite};
 
+use oha_core::corpus_content_fingerprint;
 use oha_ir::{Fingerprint, FingerprintHasher};
 use oha_store::{CodecError, Reader, Writer};
 
@@ -110,13 +126,17 @@ pub enum Request {
     Shutdown,
 }
 
-const OP_ANALYZE: u8 = 1;
+/// The retired analyze op, whose frames carried the whole corpus and
+/// no fingerprint; a daemon answers it with a typed `bad request`.
+const OP_ANALYZE_RETIRED: u8 = 1;
 const OP_STATS: u8 = 4;
 const OP_SHUTDOWN: u8 = 5;
 const OP_METRICS: u8 = 6;
+const OP_ANALYZE: u8 = 7;
 
-/// Width of the trace ID that ends every analyze payload.
-const TRACE_ID_LEN: usize = 8;
+/// Width of an analyze payload's trailer: the trace ID, then the byte
+/// length of the inline corpus (the corpus itself sits between them).
+const TRAILER_LEN: usize = 16;
 
 /// Whether `payload` carries an analyze request, judged by its op byte
 /// alone — the payload may still fail to decode.
@@ -129,48 +149,132 @@ pub(crate) fn is_shutdown_payload(payload: &[u8]) -> bool {
     payload.first() == Some(&OP_SHUTDOWN)
 }
 
+/// An analyze payload's layout, read from its trailer without decoding
+/// the rest.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct Trailer {
+    /// Bytes before the trace ID: everything the cache key hashes.
+    pub(crate) body_len: usize,
+    /// The sender's trace ID.
+    pub(crate) trace_id: u64,
+    /// Whether the corpus travels inline.
+    pub(crate) inline: bool,
+}
+
+/// The trailer of an analyze payload; `None` for other ops and for
+/// payloads whose trailer cannot be right (a decode would reject them).
+pub(crate) fn trailer(payload: &[u8]) -> Option<Trailer> {
+    if !is_analyze_payload(payload) || payload.len() <= TRAILER_LEN {
+        return None;
+    }
+    let word = |at: usize| u64::from_le_bytes(payload[at..at + 8].try_into().expect("8 bytes"));
+    let inline_len = word(payload.len() - 8);
+    let body_len = (payload.len() - TRAILER_LEN)
+        .checked_sub(usize::try_from(inline_len).ok()?)
+        .filter(|&n| n > 0)?;
+    Some(Trailer {
+        body_len,
+        trace_id: word(body_len),
+        inline: inline_len != 0,
+    })
+}
+
 /// The cache key of an encoded request, computed from its payload
-/// without decoding or re-encoding it: the bytes stream through
-/// [`FingerprintHasher`], with the trailing trace ID of an analyze
-/// payload fed as zeros. For every decodable request this equals
-/// `Fingerprint::of_bytes(&request.cache_key_bytes())`, so LRU keys,
-/// shard homes and retry jitter agree whichever form a hop holds. Total
-/// over arbitrary bytes; an undecodable payload just gets some key.
+/// without decoding or re-encoding it. An analyze payload streams its
+/// body through [`FingerprintHasher`] with the trace ID and corpus length
+/// fed as zeros and any inline corpus skipped, so a request's
+/// by-reference and inline frames share a key. For every decodable
+/// request this equals `Fingerprint::of_bytes(&request.cache_key_bytes())`,
+/// so LRU keys, shard homes and retry jitter agree whichever form a hop
+/// holds. Total over arbitrary bytes; an undecodable payload just gets
+/// some key.
 pub fn cache_key_of_payload(payload: &[u8]) -> Fingerprint {
     let mut h = FingerprintHasher::new();
-    if is_analyze_payload(payload) && payload.len() > TRACE_ID_LEN {
-        let (body, _trace_id) = payload.split_at(payload.len() - TRACE_ID_LEN);
-        h.write(body);
-        h.write(&[0; TRACE_ID_LEN]);
-    } else {
-        h.write(payload);
+    match trailer(payload) {
+        Some(t) => {
+            h.write(&payload[..t.body_len]);
+            h.write(&[0; TRAILER_LEN]);
+        }
+        None => h.write(payload),
     }
     h.finish()
 }
 
+/// A decoded analyze frame, in either form: the request with its
+/// profiling corpus named by content fingerprint, and the corpus itself
+/// only when it travelled inline.
+#[derive(Clone, Debug, PartialEq)]
+pub(crate) struct AnalyzeFrame {
+    pub(crate) tool: Tool,
+    pub(crate) program: String,
+    /// The sender's [`corpus_content_fingerprint`] of the profiling
+    /// corpus (a daemon checks an inline corpus against it).
+    pub(crate) corpus: Fingerprint,
+    /// The profiling corpus: `Some` in the inline form, `None` by
+    /// reference.
+    pub(crate) profiling: Option<Vec<Vec<i64>>>,
+    pub(crate) testing: Vec<Vec<i64>>,
+    pub(crate) endpoints: Vec<u32>,
+    pub(crate) trace_id: u64,
+}
+
+impl AnalyzeFrame {
+    /// Decodes an analyze payload of either form; total over arbitrary
+    /// bytes.
+    pub(crate) fn decode(bytes: &[u8]) -> Result<Self, CodecError> {
+        let mut r = Reader::new(bytes);
+        let op = r.get_u8()?;
+        if op != OP_ANALYZE {
+            return Err(CodecError::BadTag(op));
+        }
+        let tool_tag = r.get_u8()?;
+        let tool = Tool::from_tag(tool_tag).ok_or(CodecError::BadTag(tool_tag))?;
+        let program = r.get_str()?.to_string();
+        let corpus = Fingerprint(r.get_u128()?);
+        let testing = get_corpus(&mut r)?;
+        let n = r.get_len(4)?;
+        let mut endpoints = Vec::with_capacity(n);
+        for _ in 0..n {
+            endpoints.push(r.get_u32()?);
+        }
+        let trace_id = r.get_u64()?;
+        let inline_len = r.remaining().checked_sub(8).ok_or(CodecError::Truncated)?;
+        let inline = r.take(inline_len)?;
+        let declared = r.get_u64()?;
+        if declared != inline_len as u64 {
+            return Err(CodecError::BadLength(declared));
+        }
+        let profiling = if inline.is_empty() {
+            None
+        } else {
+            let mut r = Reader::new(inline);
+            let corpus = get_corpus(&mut r)?;
+            if !r.is_done() {
+                return Err(CodecError::BadLength(r.remaining() as u64));
+            }
+            Some(corpus)
+        };
+        Ok(AnalyzeFrame {
+            tool,
+            program,
+            corpus,
+            profiling,
+            testing,
+            endpoints,
+            trace_id,
+        })
+    }
+}
+
 impl Request {
-    /// Serializes the request payload.
+    /// Serializes the request payload. An analyze request encodes in the
+    /// inline form, so the payload is self-contained and decodes back to
+    /// the same request; this hashes the corpus once to name it.
     pub fn encode(&self) -> Vec<u8> {
         let mut w = Writer::new();
         match self {
-            Request::Analyze {
-                tool,
-                program,
-                profiling,
-                testing,
-                endpoints,
-                trace_id,
-            } => {
-                w.put_u8(OP_ANALYZE);
-                w.put_u8(tool.tag());
-                w.put_str(program);
-                put_corpus(&mut w, profiling);
-                put_corpus(&mut w, testing);
-                w.put_usize(endpoints.len());
-                for &e in endpoints {
-                    w.put_u32(e);
-                }
-                w.put_u64(*trace_id);
+            Request::Analyze { profiling, .. } => {
+                return self.encode_inline(corpus_content_fingerprint(profiling));
             }
             Request::Stats => w.put_u8(OP_STATS),
             Request::Metrics { format } => {
@@ -182,49 +286,98 @@ impl Request {
         w.into_bytes()
     }
 
-    /// The request's encoding with the trace ID zeroed — the daemon's
-    /// LRU cache key, so identical analyses stay byte-identical (and
-    /// deduplicate) no matter which trace each one rides in. Hops that
-    /// hold the encoded payload fingerprint it with
-    /// [`cache_key_of_payload`], which gives the same key.
+    /// The by-reference frame of an analyze request whose profiling
+    /// corpus has content fingerprint `corpus`: the corpus stays behind.
+    /// Other requests encode as [`Request::encode`] does.
+    pub fn encode_by_reference(&self, corpus: Fingerprint) -> Vec<u8> {
+        self.encode_analyze(corpus, false, None)
+    }
+
+    /// The inline frame of an analyze request whose profiling corpus has
+    /// content fingerprint `corpus`: the corpus travels too, and the
+    /// daemon rejects the frame if the two disagree. Other requests
+    /// encode as [`Request::encode`] does.
+    pub fn encode_inline(&self, corpus: Fingerprint) -> Vec<u8> {
+        self.encode_analyze(corpus, true, None)
+    }
+
+    /// Writes an analyze frame, with `trace_id` in place of the
+    /// request's own when given.
+    fn encode_analyze(&self, corpus: Fingerprint, inline: bool, trace_id: Option<u64>) -> Vec<u8> {
+        let Request::Analyze {
+            tool,
+            program,
+            profiling,
+            testing,
+            endpoints,
+            trace_id: own_trace_id,
+        } = self
+        else {
+            return self.encode();
+        };
+        let mut w = Writer::new();
+        w.put_u8(OP_ANALYZE);
+        w.put_u8(tool.tag());
+        w.put_str(program);
+        w.put_u128(corpus.0);
+        put_corpus(&mut w, testing);
+        w.put_usize(endpoints.len());
+        for &e in endpoints {
+            w.put_u32(e);
+        }
+        w.put_u64(trace_id.unwrap_or(*own_trace_id));
+        let before = w.len();
+        if inline {
+            put_corpus(&mut w, profiling);
+        }
+        let inline_len = w.len() - before;
+        w.put_usize(inline_len);
+        w.into_bytes()
+    }
+
+    /// The request's cache key bytes: for analyze, the by-reference frame
+    /// with the trace ID zeroed, so identical analyses stay
+    /// byte-identical (and deduplicate) no matter which trace each one
+    /// rides in or whether the corpus travelled. Hops that hold an
+    /// encoded payload fingerprint it with [`cache_key_of_payload`],
+    /// which gives the same key. Hashes the corpus once to name it.
     pub fn cache_key_bytes(&self) -> Vec<u8> {
         match self {
-            Request::Analyze { trace_id, .. } if *trace_id != 0 => {
-                let mut normalized = self.clone();
-                if let Request::Analyze { trace_id, .. } = &mut normalized {
-                    *trace_id = 0;
-                }
-                normalized.encode()
+            Request::Analyze { profiling, .. } => {
+                self.encode_analyze(corpus_content_fingerprint(profiling), false, Some(0))
             }
             _ => self.encode(),
         }
     }
 
-    /// Decodes a request payload; total over arbitrary bytes.
+    /// Decodes a request payload; total over arbitrary bytes. An analyze
+    /// payload must be inline: a by-reference frame does not hold the
+    /// corpus a [`Request::Analyze`] carries.
     pub fn decode(bytes: &[u8]) -> Result<Self, CodecError> {
         let mut r = Reader::new(bytes);
         let op = r.get_u8()?;
         let req = match op {
             OP_ANALYZE => {
-                let tool_tag = r.get_u8()?;
-                let tool = Tool::from_tag(tool_tag).ok_or(CodecError::BadTag(tool_tag))?;
-                let program = r.get_str()?.to_string();
-                let profiling = get_corpus(&mut r)?;
-                let testing = get_corpus(&mut r)?;
-                let n = r.get_len(4)?;
-                let mut endpoints = Vec::with_capacity(n);
-                for _ in 0..n {
-                    endpoints.push(r.get_u32()?);
-                }
-                let trace_id = r.get_u64()?;
-                Request::Analyze {
-                    tool,
-                    program,
+                let frame = AnalyzeFrame::decode(bytes)?;
+                let profiling = frame.profiling.ok_or_else(|| {
+                    CodecError::BadPayload(
+                        "a by-reference analyze frame carries no corpus".to_string(),
+                    )
+                })?;
+                return Ok(Request::Analyze {
+                    tool: frame.tool,
+                    program: frame.program,
                     profiling,
-                    testing,
-                    endpoints,
-                    trace_id,
-                }
+                    testing: frame.testing,
+                    endpoints: frame.endpoints,
+                    trace_id: frame.trace_id,
+                });
+            }
+            OP_ANALYZE_RETIRED => {
+                return Err(CodecError::BadPayload(format!(
+                    "op {OP_ANALYZE_RETIRED} (analyze with the whole corpus) is retired; \
+                     send op {OP_ANALYZE}, which names the corpus by fingerprint"
+                )))
             }
             OP_STATS => Request::Stats,
             OP_METRICS => {
@@ -270,6 +423,13 @@ pub struct Response {
 const STATUS_ERR: u8 = 0;
 const STATUS_OK: u8 = 1;
 const STATUS_BUSY: u8 = 2;
+/// Wire tag for a need-corpus response ([`Response::need_corpus`]).
+const STATUS_NEED_CORPUS: u8 = 3;
+
+/// The body of every need-corpus response; in memory, this exact body on
+/// a failed, non-busy response is what marks one.
+const NEED_CORPUS_BODY: &str =
+    "need corpus: the store lacks what this analysis needs; resend the corpus inline";
 
 impl Response {
     /// A successful response.
@@ -309,6 +469,19 @@ impl Response {
         }
     }
 
+    /// A need-corpus response: a by-reference analyze run found the
+    /// store lacking what it needs (see [`oha_core::NeedCorpus`]), so
+    /// nothing was computed and nothing cached. The client resends the
+    /// request once with the corpus inline.
+    pub(crate) fn need_corpus() -> Self {
+        Response::err(NEED_CORPUS_BODY)
+    }
+
+    /// Whether this is a [`Response::need_corpus`] answer.
+    pub(crate) fn is_need_corpus(&self) -> bool {
+        !self.ok && !self.busy && self.body == NEED_CORPUS_BODY
+    }
+
     /// Serializes the response payload.
     pub fn encode(&self) -> Vec<u8> {
         let mut w = Writer::new();
@@ -316,6 +489,8 @@ impl Response {
             STATUS_BUSY
         } else if self.ok {
             STATUS_OK
+        } else if self.is_need_corpus() {
+            STATUS_NEED_CORPUS
         } else {
             STATUS_ERR
         });
@@ -333,6 +508,7 @@ impl Response {
             STATUS_ERR => (false, false),
             STATUS_OK => (true, false),
             STATUS_BUSY => (false, true),
+            STATUS_NEED_CORPUS => (false, false),
             t => return Err(CodecError::BadTag(t)),
         };
         let body = r.get_str()?.to_string();
@@ -470,6 +646,18 @@ mod tests {
         // Plain errors stay non-busy on the wire.
         let err = Response::decode(&Response::err("boom").encode()).unwrap();
         assert!(!err.ok && !err.busy);
+        assert!(!err.is_need_corpus());
+    }
+
+    #[test]
+    fn need_corpus_responses_round_trip_with_their_own_status() {
+        let resp = Response::need_corpus();
+        assert!(resp.is_need_corpus() && !resp.ok && !resp.busy);
+        let bytes = resp.encode();
+        assert_eq!(bytes[0], STATUS_NEED_CORPUS);
+        let decoded = Response::decode(&bytes).unwrap();
+        assert_eq!(decoded, resp);
+        assert!(decoded.is_need_corpus());
     }
 
     #[test]
@@ -481,14 +669,22 @@ mod tests {
         }
         assert_ne!(traced.encode(), untraced.encode());
         assert_eq!(traced.cache_key_bytes(), untraced.cache_key_bytes());
-        assert_eq!(untraced.cache_key_bytes(), untraced.encode());
+        let Request::Analyze { profiling, .. } = &untraced else {
+            unreachable!()
+        };
+        let corpus = corpus_content_fingerprint(profiling);
+        assert_eq!(
+            untraced.cache_key_bytes(),
+            untraced.encode_by_reference(corpus)
+        );
         // Non-analyze ops key on their plain encoding.
         assert_eq!(Request::Stats.cache_key_bytes(), Request::Stats.encode());
     }
 
     /// The payload-side key must equal the decoded-side definition for
-    /// every request shape; this is what catches a codec change that
-    /// moves the trace ID off the end of the analyze payload.
+    /// every request shape, and a request's by-reference and inline
+    /// frames must share it; this is what catches a codec change that
+    /// moves the trailer or lets the corpus into the key.
     #[test]
     fn payload_cache_key_matches_cache_key_bytes() {
         let mut requests = vec![
@@ -510,6 +706,7 @@ mod tests {
                         vec![vec![1, 2], vec![-3]],
                         vec![vec![], vec![i64::MIN]],
                     ),
+                    (vec![], vec![vec![]], vec![vec![5]]),
                 ] {
                     requests.push(Request::Analyze {
                         tool,
@@ -523,31 +720,95 @@ mod tests {
             }
         }
         for req in &requests {
-            assert_eq!(
-                cache_key_of_payload(&req.encode()),
-                Fingerprint::of_bytes(&req.cache_key_bytes()),
-                "{req:?}"
-            );
+            let key = Fingerprint::of_bytes(&req.cache_key_bytes());
+            assert_eq!(cache_key_of_payload(&req.encode()), key, "{req:?}");
+            if let Request::Analyze { profiling, .. } = req {
+                let corpus = corpus_content_fingerprint(profiling);
+                let by_reference = req.encode_by_reference(corpus);
+                let inline = req.encode_inline(corpus);
+                assert_eq!(cache_key_of_payload(&by_reference), key, "{req:?}");
+                assert_eq!(cache_key_of_payload(&inline), key, "{req:?}");
+                assert!(by_reference.len() < inline.len(), "{req:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn both_frame_forms_decode_and_only_inline_is_a_request() {
+        let req = sample_analyze();
+        let Request::Analyze { profiling, .. } = &req else {
+            unreachable!()
+        };
+        let corpus = corpus_content_fingerprint(profiling);
+        let inline = AnalyzeFrame::decode(&req.encode_inline(corpus)).unwrap();
+        assert_eq!(inline.corpus, corpus);
+        assert_eq!(inline.profiling.as_ref(), Some(profiling));
+        assert_eq!(req.encode(), req.encode_inline(corpus));
+
+        let by_reference = req.encode_by_reference(corpus);
+        let frame = AnalyzeFrame::decode(&by_reference).unwrap();
+        assert_eq!(frame.profiling, None);
+        assert_eq!(
+            frame,
+            AnalyzeFrame {
+                profiling: None,
+                ..inline
+            }
+        );
+        assert!(Request::decode(&by_reference).is_err());
+    }
+
+    #[test]
+    fn the_retired_analyze_op_is_a_typed_rejection() {
+        let mut payload = sample_analyze().encode();
+        payload[0] = OP_ANALYZE_RETIRED;
+        assert!(!is_analyze_payload(&payload));
+        let err = Request::decode(&payload).unwrap_err();
+        assert!(err.to_string().contains("retired"), "{err}");
+    }
+
+    #[test]
+    fn a_corpus_length_that_disagrees_with_the_frame_is_rejected() {
+        let req = sample_analyze();
+        let Request::Analyze { profiling, .. } = &req else {
+            unreachable!()
+        };
+        let corpus = corpus_content_fingerprint(profiling);
+        for mut payload in [req.encode_inline(corpus), req.encode_by_reference(corpus)] {
+            let at = payload.len() - 8;
+            let len = u64::from_le_bytes(payload[at..].try_into().unwrap());
+            payload[at..].copy_from_slice(&(len + 8).to_le_bytes());
+            assert!(AnalyzeFrame::decode(&payload).is_err());
+            let _ = cache_key_of_payload(&payload);
         }
     }
 
     #[test]
     fn payload_cache_key_is_total_over_short_analyze_payloads() {
-        for len in 0..=TRACE_ID_LEN {
+        for len in 0..=TRAILER_LEN + 1 {
             let mut payload = vec![0xA5; len];
             if let Some(op) = payload.first_mut() {
                 *op = OP_ANALYZE;
             }
             let _ = cache_key_of_payload(&payload);
+            assert!(AnalyzeFrame::decode(&payload).is_err(), "len {len}");
             assert!(Request::decode(&payload).is_err(), "len {len}");
         }
     }
 
     #[test]
     fn truncated_requests_never_panic() {
-        let bytes = sample_analyze().encode();
-        for cut in 0..bytes.len() {
-            assert!(Request::decode(&bytes[..cut]).is_err(), "cut at {cut}");
+        let req = sample_analyze();
+        let Request::Analyze { profiling, .. } = &req else {
+            unreachable!()
+        };
+        let corpus = corpus_content_fingerprint(profiling);
+        for bytes in [req.encode_inline(corpus), req.encode_by_reference(corpus)] {
+            for cut in 0..bytes.len() {
+                let _ = cache_key_of_payload(&bytes[..cut]);
+                assert!(AnalyzeFrame::decode(&bytes[..cut]).is_err(), "cut at {cut}");
+                assert!(Request::decode(&bytes[..cut]).is_err(), "cut at {cut}");
+            }
         }
     }
 

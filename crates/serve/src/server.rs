@@ -12,7 +12,11 @@
 //! - compute jobs build a fresh [`Pipeline`] per request (the metrics
 //!   registry is deliberately thread-local) over the *shared*
 //!   [`Store`], and identical requests are answered from an in-memory
-//!   LRU front without touching a pipeline at all.
+//!   LRU front without touching a pipeline at all (a by-reference frame
+//!   is looked up before it is even decoded),
+//! - a by-reference analyze frame whose run needs the profiling corpus
+//!   (the store lacks its artifacts) is answered with a typed
+//!   need-corpus status, never cached; the client resends it inline.
 //!
 //! Telemetry: every request's wall-clock latency lands in a log₂
 //! [`Histogram`], the `metrics` op answers with a JSON snapshot or a
@@ -36,7 +40,10 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use oha_core::{optft_canonical_json, optslice_canonical_json, Pipeline, PipelineConfig};
+use oha_core::{
+    corpus_content_fingerprint, optft_canonical_json, optslice_canonical_json, Corpus, NeedCorpus,
+    Pipeline, PipelineConfig,
+};
 use oha_faults::{sites, FaultPlan};
 use oha_ir::{parse_program, Fingerprint, InstId, InstKind, Program};
 use oha_obs::{Histogram, Json, TraceLog, DEFAULT_TRACE_CAPACITY};
@@ -44,7 +51,8 @@ use oha_par::TaskPool;
 use oha_store::{Lru, Store};
 
 use crate::proto::{
-    cache_key_of_payload, read_frame, write_frame, MetricsFormat, Request, Response, Tool,
+    cache_key_of_payload, is_analyze_payload, read_frame, trailer, write_frame, AnalyzeFrame,
+    MetricsFormat, Request, Response, Tool,
 };
 
 /// Daemon configuration.
@@ -132,6 +140,9 @@ pub struct ServeStats {
     pub errors: u64,
     /// Analyze requests shed with a `Busy` response at the queue bound.
     pub busy_rejections: u64,
+    /// By-reference analyze requests answered need-corpus: the store
+    /// lacked what the run needed, so the client resends the corpus.
+    pub need_corpus: u64,
     /// Compute jobs queued on the work pool but not yet started.
     pub queue_depth: u64,
     /// Analyze requests currently waiting on compute.
@@ -165,6 +176,7 @@ struct Shared {
     timeouts: AtomicU64,
     errors: AtomicU64,
     busy_rejections: AtomicU64,
+    need_corpus: AtomicU64,
     in_flight: AtomicU64,
     open_connections: AtomicU64,
     /// Wall-clock nanoseconds per answered request (all ops), recorded
@@ -199,6 +211,7 @@ impl Shared {
             timeouts: self.timeouts.load(Ordering::Relaxed),
             errors: self.errors.load(Ordering::Relaxed),
             busy_rejections: self.busy_rejections.load(Ordering::Relaxed),
+            need_corpus: self.need_corpus.load(Ordering::Relaxed),
             queue_depth: self.work.pending() as u64,
             in_flight: self.in_flight.load(Ordering::Relaxed),
             open_connections: self.open_connections.load(Ordering::Relaxed),
@@ -239,15 +252,16 @@ impl Shared {
         format!(
             "{{\"worker_id\":{worker_id},\"requests\":{},\"lru_hits\":{},\
              \"lru_evictions\":{},\"timeouts\":{},\
-             \"errors\":{},\"busy_rejections\":{},\"panicked_jobs\":{},\"queue_depth\":{},\
-             \"in_flight\":{},\"open_connections\":{},\"lru_len\":{},\"store\":{store},\
-             \"faults\":{}}}",
+             \"errors\":{},\"busy_rejections\":{},\"need_corpus\":{},\"panicked_jobs\":{},\
+             \"queue_depth\":{},\"in_flight\":{},\"open_connections\":{},\"lru_len\":{},\
+             \"store\":{store},\"faults\":{}}}",
             s.requests,
             s.lru_hits,
             s.lru_evictions,
             s.timeouts,
             s.errors,
             s.busy_rejections,
+            s.need_corpus,
             self.work.panicked_jobs(),
             s.queue_depth,
             s.in_flight,
@@ -298,6 +312,7 @@ impl Shared {
             ("timeouts".to_string(), num(s.timeouts)),
             ("errors".to_string(), num(s.errors)),
             ("busy_rejections".to_string(), num(s.busy_rejections)),
+            ("need_corpus".to_string(), num(s.need_corpus)),
             ("panicked_jobs".to_string(), num(self.work.panicked_jobs())),
             ("faults".to_string(), self.faults_json()),
             (
@@ -369,6 +384,13 @@ impl Shared {
             "oha_busy_rejections_total",
             "Analyze requests shed with a Busy response at the queue bound.",
             s.busy_rejections,
+        );
+        sample(
+            &mut out,
+            counter,
+            "oha_need_corpus_total",
+            "By-reference analyze requests answered need-corpus.",
+            s.need_corpus,
         );
         sample(
             &mut out,
@@ -502,6 +524,7 @@ impl Server {
             timeouts: AtomicU64::new(0),
             errors: AtomicU64::new(0),
             busy_rejections: AtomicU64::new(0),
+            need_corpus: AtomicU64::new(0),
             in_flight: AtomicU64::new(0),
             open_connections: AtomicU64::new(0),
             request_latency: Mutex::new(Histogram::new()),
@@ -592,13 +615,18 @@ fn handle_connection(stream: UnixStream, shared: &Arc<Shared>) {
             Ok(None) | Err(_) => return,
         };
         let started = Instant::now();
-        let decoded = Request::decode(&payload);
-        let is_analyze = matches!(decoded, Ok(Request::Analyze { .. }));
-        let response = match decoded {
-            Ok(request) => dispatch(request, &payload, shared, conn_tid),
-            Err(e) => {
-                shared.errors.fetch_add(1, Ordering::Relaxed);
-                Response::err(format!("bad request: {e}"))
+        // Analyze frames are keyed before they are decoded; control ops
+        // decode here.
+        let is_analyze = is_analyze_payload(&payload);
+        let response = if is_analyze {
+            analyze(&payload, shared, conn_tid)
+        } else {
+            match Request::decode(&payload) {
+                Ok(request) => dispatch(request, shared),
+                Err(e) => {
+                    shared.errors.fetch_add(1, Ordering::Relaxed);
+                    Response::err(format!("bad request: {e}"))
+                }
             }
         };
         if let Ok(mut latency) = shared.request_latency.lock() {
@@ -629,7 +657,7 @@ fn handle_connection(stream: UnixStream, shared: &Arc<Shared>) {
     }
 }
 
-fn dispatch(request: Request, payload: &[u8], shared: &Arc<Shared>, conn_tid: u64) -> Response {
+fn dispatch(request: Request, shared: &Arc<Shared>) -> Response {
     match request {
         Request::Stats => Response::ok(shared.stats_json()),
         Request::Metrics { format } => Response::ok(match format {
@@ -643,20 +671,22 @@ fn dispatch(request: Request, payload: &[u8], shared: &Arc<Shared>, conn_tid: u6
             let _ = UnixStream::connect(&shared.socket);
             Response::ok("{\"shutting_down\":true}")
         }
-        Request::Analyze { .. } => analyze(request, payload, shared, conn_tid),
+        Request::Analyze { .. } => unreachable!("analyze payloads are routed by their op byte"),
     }
 }
 
-fn analyze(request: Request, payload: &[u8], shared: &Arc<Shared>, conn_tid: u64) -> Response {
+fn analyze(payload: &[u8], shared: &Arc<Shared>, conn_tid: u64) -> Response {
     // One trace groups everything this request causes, across the I/O
     // handler and the compute pipeline: the client's ID when it sent
     // one, a daemon-minted one otherwise (0 while tracing is off).
-    let trace_id = match &request {
-        Request::Analyze { trace_id, .. } if *trace_id != 0 => *trace_id,
+    let trailer = trailer(payload);
+    let trace_id = match trailer {
+        Some(t) if t.trace_id != 0 => t.trace_id,
         _ => shared.trace.next_trace_id(),
     };
+    let by_reference = trailer.is_some_and(|t| !t.inline);
     let span = shared.trace.begin("serve/request", trace_id, 0, conn_tid);
-    let mut response = analyze_inner(request, payload, shared, trace_id, span, conn_tid);
+    let mut response = analyze_inner(payload, by_reference, shared, trace_id, span, conn_tid);
     shared
         .trace
         .end("serve/request", trace_id, span, 0, conn_tid);
@@ -665,29 +695,42 @@ fn analyze(request: Request, payload: &[u8], shared: &Arc<Shared>, conn_tid: u64
 }
 
 fn analyze_inner(
-    request: Request,
     payload: &[u8],
+    by_reference: bool,
     shared: &Arc<Shared>,
     trace_id: u64,
     span: u64,
     conn_tid: u64,
 ) -> Response {
-    // Identical request bytes (trace ID aside) → identical canonical
-    // response; serve repeats from the LRU front without touching a
-    // pipeline. The key hashes the payload in hand rather than
-    // re-encoding the decoded request.
+    // Identical requests (trace ID and corpus form aside) → identical
+    // canonical response; serve repeats from the LRU front without
+    // touching a pipeline. A by-reference frame is probed before it is
+    // decoded: its key covers every byte but the trace ID, so a hit
+    // means the frame equals one already decoded and answered. An inline
+    // frame (a resend after need-corpus) is not looked up: its key skips
+    // the corpus, which must be checked against its fingerprint, so it
+    // is always decoded and computed.
     let key = cache_key_of_payload(payload);
-    if let Ok(mut lru) = shared.lru.lock() {
-        if let Some(hit) = lru.get(&key) {
-            shared.lru_hits.fetch_add(1, Ordering::Relaxed);
-            shared
-                .trace
-                .instant("serve/lru.hit", trace_id, span, conn_tid);
-            let mut response = hit.clone();
-            response.cached = true;
-            return response;
+    if by_reference {
+        if let Ok(mut lru) = shared.lru.lock() {
+            if let Some(hit) = lru.get(&key) {
+                shared.lru_hits.fetch_add(1, Ordering::Relaxed);
+                shared
+                    .trace
+                    .instant("serve/lru.hit", trace_id, span, conn_tid);
+                let mut response = hit.clone();
+                response.cached = true;
+                return response;
+            }
         }
     }
+    let frame = match AnalyzeFrame::decode(payload) {
+        Ok(frame) => frame,
+        Err(e) => {
+            shared.errors.fetch_add(1, Ordering::Relaxed);
+            return Response::err(format!("bad request: {e}"));
+        }
+    };
 
     // Load shed at the queue bound: refusing with a typed `Busy` — which
     // clients know is safe to retry — beats queuing without limit until
@@ -710,7 +753,7 @@ fn analyze_inner(
     let pipeline_threads = shared.pipeline_threads;
     let submitted = shared.work.submit(move || {
         let _ = tx.send(compute(
-            request,
+            frame,
             store,
             trace,
             trace_id,
@@ -723,13 +766,22 @@ fn analyze_inner(
         return Response::err("daemon is shutting down");
     }
     match rx.recv_timeout(shared.timeout) {
-        Ok(Ok(body)) => {
+        Ok(Ok(Ok(body))) => {
             let mut response = Response::ok(body);
             response.elapsed_ns = started.elapsed().as_nanos() as u64;
             if let Ok(mut lru) = shared.lru.lock() {
                 lru.insert(key, response.clone());
             }
             response
+        }
+        // Never cached: the same frame is answerable once the corpus
+        // has been sent.
+        Ok(Ok(Err(NeedCorpus))) => {
+            shared.need_corpus.fetch_add(1, Ordering::Relaxed);
+            shared
+                .trace
+                .instant("serve/need_corpus", trace_id, span, conn_tid);
+            Response::need_corpus()
         }
         Ok(Err(message)) => {
             shared.errors.fetch_add(1, Ordering::Relaxed);
@@ -753,29 +805,36 @@ fn analyze_inner(
 /// never shipped across threads; the shared [`TraceLog`] (an `Arc`) is
 /// what links its span events back to the request's trace.
 fn compute(
-    request: Request,
+    frame: AnalyzeFrame,
     store: Option<Arc<Store>>,
     trace: TraceLog,
     trace_id: u64,
     faults: &FaultPlan,
     pipeline_threads: usize,
-) -> Result<String, String> {
+) -> Result<Result<String, NeedCorpus>, String> {
     // A slow analysis, injected: exercises the request deadline and the
     // client's retry budget without needing a pathological input.
     if faults.should_inject(sites::SERVE_COMPUTE_DELAY) {
         std::thread::sleep(faults.delay());
     }
-    let Request::Analyze {
+    let AnalyzeFrame {
         tool,
         program,
+        corpus,
         profiling,
         testing,
         endpoints,
         ..
-    } = request
-    else {
-        return Err("not an analyze request".to_string());
-    };
+    } = frame;
+    // An inline corpus must be the one its fingerprint names before any
+    // artifact is keyed on that fingerprint.
+    if let Some(inputs) = &profiling {
+        if corpus_content_fingerprint(inputs) != corpus {
+            return Err(
+                "bad request: the inline corpus does not match its fingerprint".to_string(),
+            );
+        }
+    }
     let program = parse_program(&program).map_err(|e| format!("parse error: {e}"))?;
     let endpoints = resolve_endpoints(&program, &endpoints)?;
     // Nested-parallelism cap: the request already runs on a compute-pool
@@ -794,12 +853,17 @@ fn compute(
         pipeline = pipeline.with_trace(trace);
         pipeline.metrics().set_trace_id(trace_id);
     }
+    let corpus = match &profiling {
+        Some(inputs) => Corpus::Inputs(inputs),
+        None => Corpus::Stored(corpus),
+    };
     Ok(match tool {
-        Tool::OptFt => optft_canonical_json(&pipeline.run_optft(&profiling, &testing)),
-        Tool::OptSlice => {
-            let outcome = pipeline.run_optslice(&profiling, &testing, &endpoints);
-            optslice_canonical_json(&outcome)
-        }
+        Tool::OptFt => pipeline
+            .run_optft_from(corpus, &testing)
+            .map(|outcome| optft_canonical_json(&outcome)),
+        Tool::OptSlice => pipeline
+            .run_optslice_from(corpus, &testing, &endpoints)
+            .map(|outcome| optslice_canonical_json(&outcome)),
     })
 }
 

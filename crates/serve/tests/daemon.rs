@@ -1,16 +1,21 @@
 //! End-to-end daemon tests: many concurrent clients must get responses
 //! byte-identical to a serial in-process pipeline, malformed requests
 //! must get error responses (not a dead daemon), and shutdown must
-//! drain gracefully.
+//! drain gracefully. Corpora travel by reference: a daemon whose store
+//! lacks what a run needs answers need-corpus, and the client resends
+//! once, inline.
 
 use std::fs;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::thread;
 
-use oha_core::{optft_canonical_json, optslice_canonical_json, Pipeline};
+use oha_core::{
+    corpus_content_fingerprint, optft_canonical_json, optslice_canonical_json, Pipeline,
+    PipelineConfig,
+};
 use oha_ir::{print_program, InstKind, Operand, Program, ProgramBuilder};
 use oha_obs::{Json, TraceEventKind, TraceLog};
-use oha_serve::{Client, MetricsFormat, Server, ServerConfig, Tool};
+use oha_serve::{Client, MetricsFormat, Request, Server, ServerConfig, Tool};
 use Operand::{Const, Reg as R};
 
 const CLIENTS: usize = 16;
@@ -246,7 +251,15 @@ fn metrics_endpoint_reports_live_gauges_and_latency() {
     assert!(snapshot.ok, "{}", snapshot.body);
     let doc = Json::parse(&snapshot.body).expect("metrics JSON must parse");
     let requests = doc.get("requests").and_then(Json::as_u64).unwrap();
-    assert_eq!(requests, CLIENTS as u64);
+    // A storeless daemon answers a by-reference request need-corpus
+    // unless its LRU already holds the answer; each such client resent
+    // its corpus once, inline, and that resend is a request too.
+    let need_corpus = doc.get("need_corpus").and_then(Json::as_u64).unwrap();
+    assert!(
+        need_corpus >= 1,
+        "the first request cannot be served by reference"
+    );
+    assert_eq!(requests, CLIENTS as u64 + need_corpus);
     let latency = doc.get("request_latency_ns").expect("latency histogram");
     let hist = oha_obs::Histogram::from_json(latency).expect("histogram parses");
     assert_eq!(
@@ -288,6 +301,7 @@ fn metrics_endpoint_reports_live_gauges_and_latency() {
         "oha_queue_depth",
         "oha_open_connections",
         "oha_lru_entries",
+        "oha_need_corpus_total",
     ] {
         assert!(body.contains(family), "missing {family} in:\n{body}");
     }
@@ -304,7 +318,7 @@ fn metrics_endpoint_reports_live_gauges_and_latency() {
     assert!(
         body.contains(&format!(
             "oha_requests_total {}",
-            CLIENTS as u64 + 1 // the JSON metrics request was answered too
+            requests + 1 // the JSON metrics request was answered too
         )),
         "{body}"
     );
@@ -315,7 +329,8 @@ fn metrics_endpoint_reports_live_gauges_and_latency() {
 
     client.shutdown().unwrap();
     let drained = server_thread.join().unwrap();
-    assert_eq!(drained.requests, CLIENTS as u64 + 3);
+    assert_eq!(drained.requests, requests + 3);
+    assert_eq!(drained.need_corpus, need_corpus);
     assert_eq!(drained.open_connections, 0, "drained gauges settle to zero");
     assert_eq!(drained.in_flight, 0);
     let _ = fs::remove_dir_all(&dir);
@@ -373,7 +388,21 @@ fn traced_requests_link_io_and_compute_events() {
         .iter()
         .filter(|e| e.kind == TraceEventKind::Begin && e.name == "serve/request")
         .collect();
-    assert_eq!(request_spans.len(), 2, "one request span per analyze");
+    // The storeless daemon cannot serve the first request by reference:
+    // it answers need-corpus and the client resends once, inline, under
+    // the same trace. The repeat is an LRU hit on the by-reference frame.
+    assert_eq!(client.corpus_resends(), 1);
+    assert_eq!(
+        request_spans.len(),
+        3,
+        "one request span per frame: by reference, the inline resend, the repeat"
+    );
+    assert!(
+        events.iter().any(|e| e.kind == TraceEventKind::Instant
+            && e.name == "serve/need_corpus"
+            && e.trace_id == TRACE_ID),
+        "the need-corpus answer records an instant under the request's trace"
+    );
     let first = request_spans
         .iter()
         .find(|e| e.trace_id == TRACE_ID)
@@ -667,4 +696,237 @@ fn two_daemons_share_one_store_dir_without_torn_artifacts() {
         t.join().unwrap();
     }
     let _ = fs::remove_dir_all(&dir);
+}
+
+fn serve(socket: &Path, store_dir: &Path) -> thread::JoinHandle<oha_serve::ServeStats> {
+    let server = Server::bind(ServerConfig {
+        socket: socket.to_path_buf(),
+        store_dir: Some(store_dir.to_path_buf()),
+        ..ServerConfig::default()
+    })
+    .unwrap();
+    thread::spawn(move || server.run().unwrap())
+}
+
+fn stats_field(client: &mut Client, path: &[&str]) -> u64 {
+    let stats = client.stats().unwrap();
+    let mut doc = &Json::parse(&stats.body).unwrap();
+    for field in path {
+        doc = doc
+            .get(field)
+            .unwrap_or_else(|| panic!("stats lack {path:?}"));
+    }
+    doc.as_u64().unwrap()
+}
+
+/// Store files (`*.oha`) under `dir`.
+fn artifacts(dir: &Path) -> Vec<PathBuf> {
+    let mut files = Vec::new();
+    let mut stack = vec![dir.to_path_buf()];
+    while let Some(d) = stack.pop() {
+        for entry in fs::read_dir(&d).into_iter().flatten().flatten() {
+            let path = entry.path();
+            if path.is_dir() {
+                stack.push(path);
+            } else if path.extension().is_some_and(|e| e == "oha") {
+                files.push(path);
+            }
+        }
+    }
+    files
+}
+
+/// On an empty store the by-reference frame cannot be served: the
+/// daemon answers need-corpus, the client resends once inline and gets
+/// the oracle's bytes, and the repeat is an LRU hit. A fresh client with
+/// a new testing input is then served by reference from the store.
+#[test]
+fn an_empty_store_costs_one_inline_resend_then_serves_by_reference() {
+    let dir = tmp_dir("resend");
+    let socket = dir.join("daemon.sock");
+    let server_thread = serve(&socket, &dir.join("store"));
+
+    let program = locked_counter();
+    let text = print_program(&program);
+    let (profiling, testing) = corpora();
+    let oracle = |testing: &[Vec<i64>]| {
+        optft_canonical_json(&Pipeline::new(program.clone()).run_optft(&profiling, testing))
+    };
+
+    let mut client = Client::connect(&socket).unwrap();
+    let first = client
+        .analyze(Tool::OptFt, &text, &profiling, &testing, &[])
+        .unwrap();
+    assert!(first.ok, "{}", first.body);
+    assert_eq!(first.body, oracle(&testing));
+    assert_eq!(client.corpus_resends(), 1, "one resend on the cold store");
+    let repeat = client
+        .analyze(Tool::OptFt, &text, &profiling, &testing, &[])
+        .unwrap();
+    assert!(repeat.cached, "the repeat is an LRU hit");
+    assert_eq!(repeat.body, first.body);
+    assert_eq!(client.corpus_resends(), 1, "an LRU hit needs no corpus");
+    assert_eq!(stats_field(&mut client, &["need_corpus"]), 1);
+
+    let fresh_testing = vec![vec![5]];
+    let mut fresh = Client::connect(&socket).unwrap();
+    let warm = fresh
+        .analyze(Tool::OptFt, &text, &profiling, &fresh_testing, &[])
+        .unwrap();
+    assert!(warm.ok && !warm.cached, "{}", warm.body);
+    assert_eq!(warm.body, oracle(&fresh_testing));
+    assert_eq!(
+        fresh.corpus_resends(),
+        0,
+        "the warm store serves by reference"
+    );
+    // An idle connection would hold the drain open until its io timeout.
+    drop(fresh);
+
+    client.shutdown().unwrap();
+    let drained = server_thread.join().unwrap();
+    assert_eq!(drained.need_corpus, 1);
+    assert_eq!(drained.errors, 0, "need-corpus is not an error");
+    let _ = fs::remove_dir_all(&dir);
+}
+
+/// An inline corpus that is not the one its fingerprint names must not
+/// key any artifact: the daemon rejects the frame before the pipeline
+/// runs.
+#[test]
+fn a_mismatched_inline_fingerprint_is_a_bad_request_and_saves_nothing() {
+    let dir = tmp_dir("mismatch");
+    let socket = dir.join("daemon.sock");
+    let store_dir = dir.join("store");
+    let server_thread = serve(&socket, &store_dir);
+
+    let (profiling, testing) = corpora();
+    let request = Request::Analyze {
+        tool: Tool::OptFt,
+        program: print_program(&locked_counter()),
+        profiling,
+        testing,
+        endpoints: Vec::new(),
+        trace_id: 0,
+    };
+    let wrong = corpus_content_fingerprint(&[vec![1]]);
+    let mut client = Client::connect(&socket).unwrap();
+    let response = client.call_encoded(&request.encode_inline(wrong)).unwrap();
+    assert!(!response.ok && !response.busy, "{response:?}");
+    assert!(
+        response.body.starts_with("bad request:"),
+        "{}",
+        response.body
+    );
+    assert!(artifacts(&store_dir).is_empty(), "no artifact was saved");
+    assert_eq!(stats_field(&mut client, &["store", "writes"]), 0);
+
+    client.shutdown().unwrap();
+    let drained = server_thread.join().unwrap();
+    assert_eq!(drained.errors, 1);
+    let _ = fs::remove_dir_all(&dir);
+}
+
+/// Input `1` takes a cold path that writes the shared global unlocked;
+/// profiling only ever sees `0`, so a testing input `1` mis-speculates.
+fn cold_path_racer() -> Program {
+    let mut pb = ProgramBuilder::new();
+    let g = pb.global("shared", 1);
+    let w = pb.declare("worker", 1);
+    let mut m = pb.function("main", 0);
+    let sel = m.input();
+    let cold = m.block();
+    let hot = m.block();
+    m.branch(R(sel), cold, hot);
+    m.select(cold);
+    let ga = m.addr_global(g);
+    let t1 = m.spawn(w, Const(5));
+    m.store(R(ga), 0, Const(-1));
+    m.join(R(t1));
+    m.ret(None);
+    m.select(hot);
+    let t1 = m.spawn(w, Const(5));
+    m.join(R(t1));
+    m.ret(None);
+    let main = pb.finish_function(m);
+    let mut wf = pb.function("worker", 1);
+    let ga = wf.addr_global(g);
+    let v = wf.load(R(ga), 0);
+    wf.store(R(ga), 0, R(v));
+    wf.ret(None);
+    pb.finish_function(wf);
+    pb.finish(main).unwrap()
+}
+
+/// A warm request that rolls back invalidates its static artifact, so
+/// correctness cannot lean on the store staying warm: the next request
+/// for the same corpus is re-analyzed (resending the corpus if the run
+/// needs it) and still matches the single-thread oracle.
+#[test]
+fn after_a_warm_rollback_the_same_corpus_matches_the_serial_oracle() {
+    let dir = tmp_dir("rollback");
+    let socket = dir.join("daemon.sock");
+    let server_thread = serve(&socket, &dir.join("store"));
+
+    let program = cold_path_racer();
+    let text = print_program(&program);
+    let profiling = vec![vec![0], vec![0]];
+    let oracle = |testing: &[Vec<i64>]| {
+        let serial = PipelineConfig {
+            threads: 1,
+            ..PipelineConfig::default()
+        };
+        optft_canonical_json(
+            &Pipeline::new(program.clone())
+                .with_config(serial)
+                .run_optft(&profiling, testing),
+        )
+    };
+
+    let mut client = Client::connect(&socket).unwrap();
+    for testing in [
+        vec![vec![0]],          // clean: saves the static artifact
+        vec![vec![0], vec![1]], // warm hit, rolls back, invalidates
+        vec![vec![1], vec![0]], // the same corpus after the invalidation
+    ] {
+        let response = client
+            .analyze(Tool::OptFt, &text, &profiling, &testing, &[])
+            .unwrap();
+        assert!(response.ok, "{}", response.body);
+        assert_eq!(response.body, oracle(&testing), "testing {testing:?}");
+    }
+    assert_eq!(stats_field(&mut client, &["store", "invalidations"]), 1);
+
+    client.shutdown().unwrap();
+    server_thread.join().unwrap();
+    let _ = fs::remove_dir_all(&dir);
+}
+
+/// The steady-state frame a client sends for a benchmark-scale vim
+/// request names its corpus instead of carrying it.
+#[test]
+fn a_benchmark_scale_vim_frame_by_reference_is_under_64_kb() {
+    let w = oha_workloads::c_suite::vim(&oha_workloads::WorkloadParams::benchmark());
+    let request = Request::Analyze {
+        tool: Tool::OptSlice,
+        program: print_program(&w.program),
+        testing: vec![w.testing_inputs[0].clone()],
+        endpoints: w.endpoints.iter().map(|e| e.raw()).collect(),
+        trace_id: 0,
+        profiling: w.profiling_inputs,
+    };
+    let Request::Analyze { profiling, .. } = &request else {
+        unreachable!()
+    };
+    let corpus = corpus_content_fingerprint(profiling);
+    let by_reference = request.encode_by_reference(corpus).len();
+    let inline = request.encode_inline(corpus).len();
+    assert!(
+        by_reference < 64 * 1024,
+        "{by_reference} bytes by reference"
+    );
+    assert!(
+        inline > 8 * by_reference,
+        "the corpus dominates the inline frame: {inline} vs {by_reference} bytes"
+    );
 }

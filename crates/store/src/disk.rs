@@ -33,7 +33,9 @@ use crate::artifacts::{
 /// Bump when the header or any artifact wire layout changes. Old files
 /// then read as misses and are overwritten by the re-analysis.
 /// v2: `PtStats` gained the sharded-solver counters.
-pub const FORMAT_VERSION: u32 = 2;
+/// v3: the corpus half of every key is the machine-config/patience
+/// header combined with the corpus's content fingerprint.
+pub const FORMAT_VERSION: u32 = 3;
 
 const MAGIC: &[u8; 8] = b"OHASTORE";
 /// magic + version + kind + length.
