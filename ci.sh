@@ -275,20 +275,10 @@ store_smoke() {
     fi
 }
 
-# Tracing smoke: a smoke-scale fig5 run with --trace-out must leave a
-# Perfetto-loadable Chrome trace (balanced B/E spans on every track), and
-# a traced daemon must serve Prometheus + JSON metrics whose request-
-# latency histogram count matches its request counter, then write its own
-# trace on drain. Artifacts land in target/ci-trace/ so CI can upload
-# them.
-trace_smoke() {
-    local out="target/ci-trace"
-    rm -rf "$out"
-    mkdir -p "$out"
-
-    echo "    smoke: fig5_optft_runtimes --trace-out $out/fig5.trace.json"
-    OHA_SMOKE=1 ./target/release/fig5_optft_runtimes \
-        --trace-out "$out/fig5.trace.json" >/dev/null
+# Checks that a Chrome trace file parses and is balanced on every track:
+# each E closes an open B of its own track and nothing stays open.
+# Arguments: the trace file, then a label for error messages.
+check_trace_balance() {
     python3 -c '
 import json, sys
 with open(sys.argv[1]) as f:
@@ -298,28 +288,48 @@ if not events:
     sys.exit(f"{sys.argv[1]}: no traceEvents")
 depth = {}
 for e in events:
-    if e["ph"] not in ("B", "E", "i"):
-        sys.exit(f"{sys.argv[1]}: unexpected phase {e['ph']!r}")
-    if "ts" not in e or "tid" not in e:
+    ph, tid = e["ph"], e.get("tid")
+    if ph not in ("B", "E", "i"):
+        sys.exit(f"{sys.argv[1]}: unexpected phase {ph!r}")
+    if "ts" not in e or tid is None:
         sys.exit(f"{sys.argv[1]}: event missing ts/tid: {e}")
-    if e["ph"] == "B":
-        depth[e["tid"]] = depth.get(e["tid"], 0) + 1
-    elif e["ph"] == "E":
-        depth[e["tid"]] = depth.get(e["tid"], 0) - 1
-        if depth[e["tid"]] < 0:
-            sys.exit(f"{sys.argv[1]}: track {e['tid']} ends before it begins")
+    if ph == "B":
+        depth[tid] = depth.get(tid, 0) + 1
+    elif ph == "E":
+        depth[tid] = depth.get(tid, 0) - 1
+        if depth[tid] < 0:
+            sys.exit(f"{sys.argv[1]}: track {tid} ends before it begins")
 open_tracks = {t: d for t, d in depth.items() if d != 0}
 if open_tracks:
     sys.exit(f"{sys.argv[1]}: unbalanced spans on tracks {open_tracks}")
 print(f"    trace OK: {len(events)} events on {len(depth)} tracks")
-' "$out/fig5.trace.json" || {
-        echo "trace-smoke: bench trace unparsable or malformed" >&2
+' "$1" || {
+        echo "trace-smoke: $2 trace unparsable or malformed" >&2
         return 1
     }
+}
+
+# Tracing smoke: a smoke-scale fig5 run with --trace-out must leave a
+# Perfetto-loadable Chrome trace (balanced B/E spans on every track), and
+# a traced daemon must serve Prometheus + JSON metrics whose request-
+# latency histogram count matches its request counter, then write its own
+# trace on drain, also balanced on every track. The daemon runs one
+# compute thread, so each request's pipeline gets the host's threads and
+# its dynamic phase traces lanes on tracks of their own. Artifacts land in
+# target/ci-trace/ so CI can upload them.
+trace_smoke() {
+    local out="target/ci-trace"
+    rm -rf "$out"
+    mkdir -p "$out"
+
+    echo "    smoke: fig5_optft_runtimes --trace-out $out/fig5.trace.json"
+    OHA_SMOKE=1 ./target/release/fig5_optft_runtimes \
+        --trace-out "$out/fig5.trace.json" >/dev/null
+    check_trace_balance "$out/fig5.trace.json" bench || return 1
 
     local sock="$out/daemon.sock" prog="$out/zlib.ir" daemon i
     ./target/release/print_workload zlib >"$prog"
-    OHA_TRACE=1 ./target/release/oha-serve --socket "$sock" \
+    OHA_TRACE=1 ./target/release/oha-serve --socket "$sock" --threads 1 \
         --trace-out "$out/serve.trace.json" 2>"$out/serve.log" &
     daemon=$!
     for i in 1 2; do
@@ -364,6 +374,7 @@ if "serve/request" not in names:
         echo "trace-smoke: daemon trace missing or incomplete" >&2
         return 1
     }
+    check_trace_balance "$out/serve.trace.json" daemon
 }
 
 # Checks that a bench_store report parses and carries the daemon speedup,

@@ -6,7 +6,7 @@
 //! mis-speculations, and we report the rollback share of OptFT/OptSlice
 //! runtime — and verify the answers still match the baselines.
 
-use oha_bench::{optft_config, optslice_config, params, pipeline, Reporter};
+use oha_bench::{one_thread, optft_config, optslice_config, params, pipeline, Reporter};
 use oha_workloads::{c_suite, java_suite};
 
 fn main() {
@@ -20,7 +20,8 @@ fn main() {
         }
         let mut testing = w.testing_inputs.clone();
         testing.extend(w.adversarial_inputs.iter().cloned());
-        let outcome = pipeline(&w, optft_config()).run_optft(&w.profiling_inputs, &testing);
+        let outcome =
+            pipeline(&w, one_thread(optft_config())).run_optft(&w.profiling_inputs, &testing);
         reporter.child(&format!("optft/{}", w.name), outcome.report.clone());
         assert_eq!(
             outcome.optimistic_races, outcome.baseline_races,
@@ -64,7 +65,7 @@ fn main() {
         }
         let mut testing = w.testing_inputs.clone();
         testing.extend(w.adversarial_inputs.iter().cloned());
-        let outcome = pipeline(&w, optslice_config()).run_optslice(
+        let outcome = pipeline(&w, one_thread(optslice_config())).run_optslice(
             &w.profiling_inputs,
             &testing,
             &w.endpoints,

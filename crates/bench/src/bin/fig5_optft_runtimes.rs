@@ -6,7 +6,7 @@
 //! they need no dynamic analysis at all (the right side of the paper's
 //! figure).
 
-use oha_bench::{mean, optft_config, params, traced_pipeline, Reporter};
+use oha_bench::{mean, one_thread, optft_config, params, traced_pipeline, Reporter};
 use oha_workloads::java_suite;
 
 fn main() {
@@ -16,7 +16,7 @@ fn main() {
     let mut rows = Vec::new();
     let mut sound_violations = 0usize;
     let results = reporter.run_workloads_parallel(java_suite::all(&params), |w| {
-        let outcome = traced_pipeline(w, optft_config(), &trace)
+        let outcome = traced_pipeline(w, one_thread(optft_config()), &trace)
             .run_optft(&w.profiling_inputs, &w.testing_inputs);
         (outcome.report.clone(), outcome)
     });

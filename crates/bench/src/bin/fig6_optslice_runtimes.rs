@@ -3,7 +3,7 @@
 //! into baseline execution / invariant checks / slicing instrumentation /
 //! rollbacks.
 
-use oha_bench::{mean, optslice_config, params, pipeline, Reporter};
+use oha_bench::{mean, one_thread, optslice_config, params, pipeline, Reporter};
 use oha_workloads::c_suite;
 
 fn main() {
@@ -12,7 +12,7 @@ fn main() {
     let mut rows = Vec::new();
     let mut unequal = 0usize;
     let results = reporter.run_workloads_parallel(c_suite::all(&params), |w| {
-        let outcome = pipeline(w, optslice_config()).run_optslice(
+        let outcome = pipeline(w, one_thread(optslice_config())).run_optslice(
             &w.profiling_inputs,
             &w.testing_inputs,
             &w.endpoints,

@@ -5,7 +5,9 @@
 
 use std::time::Duration;
 
-use oha_bench::{fmt_break_even, fmt_dur, optft_config, params, traced_pipeline, Reporter};
+use oha_bench::{
+    fmt_break_even, fmt_dur, one_thread, optft_config, params, traced_pipeline, Reporter,
+};
 use oha_core::{break_even_seconds, CostModel};
 use oha_workloads::java_suite;
 
@@ -15,7 +17,7 @@ fn main() {
     let trace = reporter.trace().clone();
     let mut rows = Vec::new();
     let results = reporter.run_workloads_parallel(java_suite::all(&params), |w| {
-        let outcome = traced_pipeline(w, optft_config(), &trace)
+        let outcome = traced_pipeline(w, one_thread(optft_config()), &trace)
             .run_optft(&w.profiling_inputs, &w.testing_inputs);
         (outcome.report.clone(), outcome)
     });

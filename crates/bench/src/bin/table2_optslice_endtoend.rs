@@ -5,7 +5,7 @@
 
 use std::time::Duration;
 
-use oha_bench::{fmt_break_even, fmt_dur, optslice_config, params, pipeline, Reporter};
+use oha_bench::{fmt_break_even, fmt_dur, one_thread, optslice_config, params, pipeline, Reporter};
 use oha_core::{break_even_seconds, CostModel};
 use oha_pointsto::Sensitivity;
 use oha_workloads::c_suite;
@@ -22,7 +22,7 @@ fn main() {
     let mut reporter = Reporter::new("table2_optslice_endtoend");
     let mut rows = Vec::new();
     let results = reporter.run_workloads_parallel(c_suite::all(&params), |w| {
-        let outcome = pipeline(w, optslice_config()).run_optslice(
+        let outcome = pipeline(w, one_thread(optslice_config())).run_optslice(
             &w.profiling_inputs,
             &w.testing_inputs,
             &w.endpoints,

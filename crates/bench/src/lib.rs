@@ -99,6 +99,19 @@ pub fn optslice_config() -> PipelineConfig {
     }
 }
 
+/// `config` on a one-thread pool: every phase of a run, its dynamic
+/// executions included, runs on the run's own thread. The figure and
+/// table binaries compare per-run phase durations across runs and tools;
+/// executions of one run sharing the host with each other would skew
+/// those durations. The binaries still fan workloads out over the
+/// `OHA_THREADS` pool ([`Reporter::run_workloads_parallel`]).
+pub fn one_thread(config: PipelineConfig) -> PipelineConfig {
+    PipelineConfig {
+        threads: 1,
+        ..config
+    }
+}
+
 /// The OptSlice context budget (kept visible for the probe binary).
 ///
 /// Calibrated by `probe_contexts`: sound CS analyses of nginx/redis/perl/

@@ -37,6 +37,7 @@
 
 mod breakeven;
 mod canonical;
+mod lanes;
 mod optft;
 mod optslice;
 mod pipeline;

@@ -13,10 +13,11 @@ use oha_pointsto::{analyze, PointsTo, PointsToConfig, Sensitivity};
 use oha_races::{detect, MustLocksets, StaticRaces};
 use oha_store::{ArtifactKey, ArtifactKind, OptFtArtifact};
 
+use crate::lanes::Runner;
 use crate::pipeline::{Corpus, NeedCorpus, Pipeline, RunCorpus, PATIENCE};
 
 /// One testing-input execution of OptFT and its baselines.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct OptFtRun {
     /// Uninstrumented execution time (the normalization baseline).
     pub baseline: Duration,
@@ -135,14 +136,101 @@ fn ratio_of_sums(pairs: impl Iterator<Item = (Duration, Duration)>) -> f64 {
     }
 }
 
+/// Prefix of the speculative runs' hook and scheduler counters.
+const SPEC_PREFIX: &str = "optft.spec";
+
 /// The OptFT driver. Use [`Pipeline::run_optft`].
 pub struct OptFt<'a> {
     pipeline: &'a Pipeline,
 }
 
-/// Instrumentation plans for the dynamic phase, compiled once per
+/// One run configuration of OptFT's dynamic phase. Each testing input
+/// runs all of them, in this order.
+#[derive(Clone, Copy, Debug)]
+enum FtRun {
+    /// Uninstrumented.
+    Baseline,
+    /// Full FastTrack.
+    Full,
+    /// Hybrid FastTrack over the sound racy set.
+    Hybrid,
+    /// The invariant checker alone.
+    Checker,
+    /// Optimistic FastTrack plus the checker, recording the schedule, and
+    /// the rollback that replays it when the speculation fails.
+    Optimistic,
+}
+
+impl FtRun {
+    const ALL: [FtRun; 5] = [
+        FtRun::Baseline,
+        FtRun::Full,
+        FtRun::Hybrid,
+        FtRun::Checker,
+        FtRun::Optimistic,
+    ];
+
+    /// The fixed lane (see `lanes.rs`). Lane 0 holds the speculative run,
+    /// whose recorded schedule its rollback replays, and the hybrid run,
+    /// whose plan the rollback reuses — a plan is drained by one thread at
+    /// a time. Full FastTrack and the checker share lane 1; the baseline
+    /// has lane 2, so at width 2 the caller pairs it with lane 0.
+    fn lane(self) -> usize {
+        match self {
+            FtRun::Hybrid | FtRun::Optimistic => 0,
+            FtRun::Full | FtRun::Checker => 1,
+            FtRun::Baseline => 2,
+        }
+    }
+}
+
+/// What one execution of a testing input contributes to its [`OptFtRun`].
+enum FtResult {
+    Baseline(Duration),
+    Full(Duration, BTreeSet<(InstId, InstId)>),
+    Hybrid(Duration, BTreeSet<(InstId, InstId)>),
+    Checker(Duration),
+    Optimistic {
+        time: Duration,
+        rolled_back: bool,
+        rollback: Duration,
+        races: BTreeSet<(InstId, InstId)>,
+        violations: usize,
+    },
+}
+
+impl FtResult {
+    fn fill(self, run: &mut OptFtRun) {
+        match self {
+            FtResult::Baseline(time) => run.baseline = time,
+            FtResult::Full(time, races) => (run.full, run.races_full) = (time, races),
+            FtResult::Hybrid(time, races) => (run.hybrid, run.races_hybrid) = (time, races),
+            FtResult::Checker(time) => run.checker_only = time,
+            FtResult::Optimistic {
+                time,
+                rolled_back,
+                rollback,
+                races,
+                violations,
+            } => {
+                run.optimistic = time;
+                run.rolled_back = rolled_back;
+                run.rollback = rollback;
+                run.races_opt = races;
+                run.violations = violations;
+            }
+        }
+    }
+}
+
+/// Everything OptFT's dynamic phase reads, shared by every lane: the
+/// static results and the instrumentation plans, compiled once per
 /// pipeline run (they depend only on the program and the elision sets).
-struct OptFtPlans {
+struct FtDynamic<'a> {
+    program: &'a Program,
+    races_sound: &'a StaticRaces,
+    races_pred: &'a StaticRaces,
+    invariants: &'a InvariantSet,
     full: InstrPlan,
     hybrid: InstrPlan,
     checker: InstrPlan,
@@ -151,12 +239,12 @@ struct OptFtPlans {
     optimistic: InstrPlan,
 }
 
-impl OptFtPlans {
-    fn compile(
-        program: &Program,
-        races_sound: &StaticRaces,
-        races_pred: &StaticRaces,
-        invariants: &InvariantSet,
+impl<'a> FtDynamic<'a> {
+    fn new(
+        program: &'a Program,
+        races_sound: &'a StaticRaces,
+        races_pred: &'a StaticRaces,
+        invariants: &'a InvariantSet,
     ) -> Self {
         let checker = InvariantChecker::plan_for(program, invariants, ChecksEnabled::for_optft());
         let mut optimistic = FastTrackTool::plan_for(
@@ -166,10 +254,124 @@ impl OptFtPlans {
         );
         optimistic.union_with(&checker);
         Self {
+            program,
+            races_sound,
+            races_pred,
+            invariants,
             full: FastTrackTool::plan_for(program, None, None),
             hybrid: FastTrackTool::plan_for(program, Some(races_sound.racy_sites()), None),
             checker,
             optimistic,
+        }
+    }
+
+    /// Runs `input` under one configuration on `runner`'s machines,
+    /// recording its span and counters into `runner`'s registry.
+    fn execute(&self, runner: &Runner<'_>, input: &[i64], run: FtRun) -> FtResult {
+        let (machine, registry) = (&runner.machine, &runner.registry);
+        match run {
+            FtRun::Baseline => {
+                // The baseline is uninstrumented: no plan either (a plan
+                // that elides everything would swap free no-op dispatches
+                // for elision bookkeeping).
+                let span = registry.span("baseline");
+                machine.run(input, &mut NoopTracer);
+                FtResult::Baseline(span.finish())
+            }
+            FtRun::Full => {
+                let span = registry.span("full");
+                let mut full = FastTrackTool::full();
+                machine.run_with_plan(input, &mut full, Some(&self.full));
+                let time = span.finish();
+                full.absorb_plan_elisions(&self.full.take_elisions());
+                FtResult::Full(time, full.race_pairs())
+            }
+            FtRun::Hybrid => {
+                let span = registry.span("hybrid");
+                let mut hybrid = FastTrackTool::hybrid(self.races_sound.racy_sites());
+                machine.run_with_plan(input, &mut hybrid, Some(&self.hybrid));
+                let time = span.finish();
+                hybrid.absorb_plan_elisions(&self.hybrid.take_elisions());
+                FtResult::Hybrid(time, hybrid.race_pairs())
+            }
+            FtRun::Checker => {
+                let span = registry.span("checker");
+                let mut checker = InvariantChecker::new(
+                    self.program,
+                    self.invariants,
+                    ChecksEnabled::for_optft(),
+                );
+                machine.run_with_plan(input, &mut checker, Some(&self.checker));
+                // The checker counts only the checks it performs; its plan
+                // skips exactly the hooks it ignores, so it absorbs nothing.
+                FtResult::Checker(span.finish())
+            }
+            FtRun::Optimistic => self.speculate(runner, input),
+        }
+    }
+
+    /// The speculative run: optimistic FastTrack + invariant checks, with
+    /// the schedule recorded so a mis-speculation can replay the identical
+    /// interleaving (the paper's record/replay rollback).
+    fn speculate(&self, runner: &Runner<'_>, input: &[i64]) -> FtResult {
+        let registry = &runner.registry;
+        let invariants = self.invariants;
+        let span = registry.span("optimistic");
+        let opt_tool =
+            FastTrackTool::optimistic(self.races_pred.racy_sites(), &invariants.elidable_locks);
+        let checker = InvariantChecker::new(self.program, invariants, ChecksEnabled::for_optft());
+        let mut combined = MultiTracer::new(opt_tool, checker);
+        let (_, schedule) = runner.spec_machine.run_recording_with_plan(
+            input,
+            &mut combined,
+            Some(&self.optimistic),
+        );
+        let time = span.finish();
+        // Keeps the elision identity balanced: machine-side skips are
+        // exactly the accesses/lock ops the tool would have elided.
+        combined
+            .first
+            .absorb_plan_elisions(&self.optimistic.take_elisions());
+        combined.first.record_metrics(registry, "optft.ft");
+        combined.second.record_metrics(registry, "optft.check");
+
+        let opt_races = combined.first.race_pairs();
+        let violations = combined.second.violations().count();
+        // Rollback policy: invariant violations always roll back; race
+        // reports are potential mis-speculations only when lock
+        // instrumentation was elided (§4.2.4).
+        let rolled_back = combined.second.is_violated()
+            || (!invariants.elidable_locks.is_empty() && !opt_races.is_empty());
+
+        let (races, rollback) = if rolled_back {
+            registry.add("optft.rollback", 1);
+            for v in combined.second.violations() {
+                registry.add(&format!("optft.rollback.cause.{}", v.class()), 1);
+            }
+            if violations == 0 {
+                // Race-triggered rollback with no invariant violation: a
+                // potentially-false race through an elided lock.
+                registry.add("optft.rollback.cause.race_report", 1);
+            }
+            // Roll back: replay the recorded schedule under the traditional
+            // hybrid analysis, which observes the same execution the failed
+            // speculation did.
+            let span = registry.span("rollback");
+            let mut redo = FastTrackTool::hybrid(self.races_sound.racy_sites());
+            runner
+                .machine
+                .run_replay_with_plan(input, &schedule, &mut redo, Some(&self.hybrid));
+            redo.absorb_plan_elisions(&self.hybrid.take_elisions());
+            (redo.race_pairs(), span.finish())
+        } else {
+            (opt_races, Duration::ZERO)
+        };
+        FtResult::Optimistic {
+            time,
+            rolled_back,
+            rollback,
+            races,
+            violations,
         }
     }
 }
@@ -369,18 +571,20 @@ impl<'a> OptFt<'a> {
     ) -> Result<OptFtOutcome, NeedCorpus> {
         let program = self.pipeline.program();
         let registry = self.pipeline.metrics().clone();
-        let machine = Machine::new(program, self.pipeline.config().machine);
         // The speculative runs use a metrics-attached machine, so every
         // tracer-hook dispatch the optimistic tool sees is counted under
         // `optft.spec.hook.*` — the elision identity
         // elided + executed == dispatched holds against those counters.
-        let spec_machine = Machine::new(program, self.pipeline.config().machine)
-            .with_metrics(&registry, "optft.spec");
+        let runner = Runner::new(
+            Machine::new(program, self.pipeline.config().machine),
+            registry.clone(),
+            SPEC_PREFIX,
+        );
         let pipeline_span = registry.span("optft");
 
         // Phases 1 + 2, warm or cold.
         let corpus = self.pipeline.run_corpus(profiling, PATIENCE);
-        let statics = self.static_phase(&corpus, &machine, &registry)?;
+        let statics = self.static_phase(&corpus, &runner.machine, &registry)?;
         let FtStatics {
             invariants,
             profile_time,
@@ -401,26 +605,30 @@ impl<'a> OptFt<'a> {
             sound_static_time + pred_static_time,
         );
 
-        // Compile the per-instruction instrumentation plans once — they
-        // depend only on the program and the static phase's elision sets.
-        let plans = OptFtPlans::compile(program, &races_sound, &races_pred, &invariants);
-
-        // Phase 3: speculative dynamic analysis over the testing corpus.
+        // Phase 3: speculative dynamic analysis over the testing corpus,
+        // one task per (input, configuration) on the pool's fixed lanes.
+        let dynamic = FtDynamic::new(program, &races_sound, &races_pred, &invariants);
         let dynamic_span = registry.span("dynamic");
+        let tasks: Vec<(&[i64], FtRun)> = testing
+            .iter()
+            .flat_map(|input| FtRun::ALL.map(|run| (input.as_slice(), run)))
+            .collect();
+        let mut results = runner
+            .run_all(
+                self.pipeline.pool(),
+                &tasks,
+                |&(_, run)| run.lane(),
+                |runner, &(input, run)| dynamic.execute(runner, input, run),
+            )
+            .into_iter();
         let mut runs = Vec::with_capacity(testing.len());
         let mut baseline_races = BTreeSet::new();
         let mut optimistic_races = BTreeSet::new();
-        for input in testing {
-            let run = self.dynamic_run(
-                input,
-                &machine,
-                &spec_machine,
-                &registry,
-                &races_sound,
-                &races_pred,
-                &invariants,
-                &plans,
-            );
+        for _ in testing {
+            let mut run = OptFtRun::default();
+            for result in results.by_ref().take(FtRun::ALL.len()) {
+                result.fill(&mut run);
+            }
             registry.observe_duration("optft.run.baseline_ns", run.baseline);
             registry.observe_duration("optft.run.optimistic_ns", run.optimistic + run.rollback);
             baseline_races.extend(run.races_full.iter().copied());
@@ -496,113 +704,6 @@ impl<'a> OptFt<'a> {
             pool: self.pipeline.pool(),
             serial_cutoff: oha_pointsto::serial_cutoff_from_env(),
             dense_cutoff: oha_pointsto::dense_cutoff_from_env(),
-        }
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn dynamic_run(
-        &self,
-        input: &[i64],
-        machine: &Machine<'_>,
-        spec_machine: &Machine<'_>,
-        registry: &MetricsRegistry,
-        races_sound: &StaticRaces,
-        races_pred: &StaticRaces,
-        invariants: &InvariantSet,
-        plans: &OptFtPlans,
-    ) -> OptFtRun {
-        let program = self.pipeline.program();
-
-        // The baseline is uninstrumented: no plan either (a plan that
-        // elides everything would swap free no-op dispatches for elision
-        // bookkeeping).
-        let span = registry.span("baseline");
-        machine.run(input, &mut NoopTracer);
-        let baseline = span.finish();
-
-        let span = registry.span("full");
-        let mut full = FastTrackTool::full();
-        machine.run_with_plan(input, &mut full, Some(&plans.full));
-        let full_time = span.finish();
-        full.absorb_plan_elisions(&plans.full.take_elisions());
-
-        let span = registry.span("hybrid");
-        let mut hybrid = FastTrackTool::hybrid(races_sound.racy_sites());
-        machine.run_with_plan(input, &mut hybrid, Some(&plans.hybrid));
-        let hybrid_time = span.finish();
-        hybrid.absorb_plan_elisions(&plans.hybrid.take_elisions());
-
-        let span = registry.span("checker");
-        let mut checker_only =
-            InvariantChecker::new(program, invariants, ChecksEnabled::for_optft());
-        machine.run_with_plan(input, &mut checker_only, Some(&plans.checker));
-        let checker_only_time = span.finish();
-        // The checker counts only the checks it performs; its plan skips
-        // exactly the hooks it ignores, so there is nothing to absorb —
-        // just drain the tally.
-        plans.checker.take_elisions();
-
-        // The speculative run: optimistic FastTrack + invariant checks,
-        // with the schedule recorded so a mis-speculation can replay the
-        // identical interleaving (the paper's record/replay rollback).
-        let span = registry.span("optimistic");
-        let opt_tool =
-            FastTrackTool::optimistic(races_pred.racy_sites(), &invariants.elidable_locks);
-        let checker = InvariantChecker::new(program, invariants, ChecksEnabled::for_optft());
-        let mut combined = MultiTracer::new(opt_tool, checker);
-        let (_, schedule) =
-            spec_machine.run_recording_with_plan(input, &mut combined, Some(&plans.optimistic));
-        let optimistic_time = span.finish();
-        // Keeps the elision identity balanced: machine-side skips are
-        // exactly the accesses/lock ops the tool would have elided.
-        combined
-            .first
-            .absorb_plan_elisions(&plans.optimistic.take_elisions());
-        combined.first.record_metrics(registry, "optft.ft");
-        combined.second.record_metrics(registry, "optft.check");
-
-        let opt_races = combined.first.race_pairs();
-        let violations = combined.second.violations().count();
-        // Rollback policy: invariant violations always roll back; race
-        // reports are potential mis-speculations only when lock
-        // instrumentation was elided (§4.2.4).
-        let rolled_back = combined.second.is_violated()
-            || (!invariants.elidable_locks.is_empty() && !opt_races.is_empty());
-
-        let (races_opt, rollback) = if rolled_back {
-            registry.add("optft.rollback", 1);
-            for v in combined.second.violations() {
-                registry.add(&format!("optft.rollback.cause.{}", v.class()), 1);
-            }
-            if violations == 0 {
-                // Race-triggered rollback with no invariant violation: a
-                // potentially-false race through an elided lock.
-                registry.add("optft.rollback.cause.race_report", 1);
-            }
-            // Roll back: replay the recorded schedule under the traditional
-            // hybrid analysis, which observes the same execution the failed
-            // speculation did.
-            let span = registry.span("rollback");
-            let mut redo = FastTrackTool::hybrid(races_sound.racy_sites());
-            machine.run_replay_with_plan(input, &schedule, &mut redo, Some(&plans.hybrid));
-            redo.absorb_plan_elisions(&plans.hybrid.take_elisions());
-            (redo.race_pairs(), span.finish())
-        } else {
-            (opt_races, Duration::ZERO)
-        };
-
-        OptFtRun {
-            baseline,
-            full: full_time,
-            hybrid: hybrid_time,
-            optimistic: optimistic_time,
-            checker_only: checker_only_time,
-            rolled_back,
-            rollback,
-            races_full: full.race_pairs(),
-            races_hybrid: hybrid.race_pairs(),
-            races_opt,
-            violations,
         }
     }
 }
@@ -741,11 +842,6 @@ fn validate_on_corpus(
         let mut opt = FastTrackTool::optimistic(races_pred.racy_sites(), elided);
         machine.run_with_plan(input, &mut opt, Some(&opt_plan));
         runs += 2;
-        // These tools' counters are never published, but the reused
-        // plans' tallies must still be drained between runs so the
-        // machine's end-of-run counter flush stays per-run exact.
-        hybrid_plan.take_elisions();
-        opt_plan.take_elisions();
         if !opt.race_pairs().is_subset(&sound.race_pairs()) {
             // Give up elision entirely on a false race: simple and sound.
             // A finer policy would de-elide only the offending class, as
@@ -1011,41 +1107,10 @@ mod tests {
     /// back and still produce the sound answer.
     #[test]
     fn optft_rolls_back_on_invariant_violation() {
-        let mut pb = ProgramBuilder::new();
-        let g = pb.global("shared", 1);
-        let w = pb.declare("worker", 1);
-        let mut m = pb.function("main", 0);
-        let sel = m.input();
-        let cold = m.block();
-        let spawn_b = m.block();
-        m.branch(R(sel), cold, spawn_b);
-        m.select(cold);
-        // The cold path writes the shared global unlocked, racing with the
-        // workers.
-        let ga = m.addr_global(g);
-        let t1 = m.spawn(w, Const(5));
-        m.store(R(ga), 0, Const(-1));
-        m.join(R(t1));
-        m.ret(None);
-        m.select(spawn_b);
-        let t1 = m.spawn(w, Const(5));
-        m.join(R(t1));
-        m.ret(None);
-        let main = pb.finish_function(m);
-        let mut wf = pb.function("worker", 1);
-        let ga = wf.addr_global(g);
-        let v = wf.load(R(ga), 0);
-        wf.store(R(ga), 0, R(v));
-        wf.ret(None);
-        pb.finish_function(wf);
-        let p = pb.finish(main).unwrap();
-
-        let pipeline = Pipeline::new(p);
-        // Profile only the hot path (sel == 0).
-        let profiling = vec![vec![0], vec![0]];
-        // Test includes the cold path (sel == 1).
-        let testing = vec![vec![0], vec![1]];
-        let outcome = pipeline.run_optft(&profiling, &testing);
+        let w = oha_workloads::micro::cold_path_race();
+        let pipeline = Pipeline::new(w.program);
+        // Profiling sees only the hot path; testing includes the cold one.
+        let outcome = pipeline.run_optft(&w.profiling_inputs, &w.testing_inputs);
 
         assert!(outcome.runs[1].rolled_back, "cold path must mis-speculate");
         assert!(!outcome.runs[0].rolled_back);

@@ -11,6 +11,7 @@ use oha_pointsto::{analyze, PointsTo, PointsToConfig, Sensitivity};
 use oha_slicing::{slice, SliceConfig, StaticSlice};
 use oha_store::{ArtifactKey, ArtifactKind, OptSliceArtifact, StaticSideArtifact};
 
+use crate::lanes::Runner;
 use crate::pipeline::{Corpus, NeedCorpus, Pipeline, RunCorpus, PATIENCE};
 
 /// One static-analysis side (sound or predicated) of Table 2.
@@ -33,7 +34,7 @@ pub struct StaticSideReport {
 }
 
 /// One testing-input execution of OptSlice and its baselines.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct OptSliceRun {
     /// Uninstrumented execution time.
     pub baseline: Duration,
@@ -146,22 +147,78 @@ struct SliceStatics {
     pending: Option<OptSliceArtifact>,
 }
 
-/// Pre-compiled instrumentation plans for the dynamic phase, one per run
-/// configuration. Compiled once per pipeline run and reused across every
-/// testing input; each tool absorbs (or drains) the plan's elision tally
-/// after its run so per-input counters stay exact.
-struct OptSlicePlans {
+/// Prefix of the speculative runs' hook and scheduler counters.
+const SPEC_PREFIX: &str = "optslice.spec";
+
+/// One run configuration of OptSlice's dynamic phase. Each testing input
+/// runs all of them, in this order.
+#[derive(Clone, Copy, Debug)]
+enum SliceRun {
+    /// Uninstrumented.
+    Baseline,
+    /// The traditional hybrid slicer over the sound static slice.
+    Hybrid,
+    /// The invariant checker alone.
+    Checker,
+    /// The optimistic slicer plus the checker, recording the schedule, and
+    /// the rollback that replays it when the speculation fails.
+    Optimistic,
+}
+
+impl SliceRun {
+    const ALL: [SliceRun; 4] = [
+        SliceRun::Baseline,
+        SliceRun::Hybrid,
+        SliceRun::Checker,
+        SliceRun::Optimistic,
+    ];
+
+    /// The fixed lane (see `lanes.rs`). The runs that hold a Giri trace —
+    /// the hybrid slicer, the speculative run and its rollback — share
+    /// lane 0, so at most one trace-sized buffer is live per request, on
+    /// the caller's thread. The baseline and the checker share lane 1.
+    fn lane(self) -> usize {
+        match self {
+            SliceRun::Hybrid | SliceRun::Optimistic => 0,
+            SliceRun::Baseline | SliceRun::Checker => 1,
+        }
+    }
+}
+
+/// What one execution of a testing input yields.
+enum SliceResult {
+    Baseline(Duration),
+    Hybrid(Duration, DynamicSlice),
+    Checker(Duration),
+    Optimistic {
+        time: Duration,
+        rolled_back: bool,
+        rollback: Duration,
+        slice: DynamicSlice,
+    },
+}
+
+/// Everything OptSlice's dynamic phase reads, shared by every lane: the
+/// static slices, the endpoints and the instrumentation plans, compiled
+/// once per pipeline run and reused for every testing input.
+struct SliceDynamic<'a> {
+    program: &'a Program,
+    endpoints: &'a [InstId],
+    invariants: &'a InvariantSet,
+    sound_slice: &'a StaticSlice,
+    pred_slice: &'a StaticSlice,
     hybrid: InstrPlan,
     checker: InstrPlan,
     optimistic: InstrPlan,
 }
 
-impl OptSlicePlans {
-    fn compile(
-        program: &Program,
-        sound_slice: &StaticSlice,
-        pred_slice: &StaticSlice,
-        invariants: &InvariantSet,
+impl<'a> SliceDynamic<'a> {
+    fn new(
+        program: &'a Program,
+        endpoints: &'a [InstId],
+        invariants: &'a InvariantSet,
+        sound_slice: &'a StaticSlice,
+        pred_slice: &'a StaticSlice,
     ) -> Self {
         let checker =
             InvariantChecker::plan_for(program, invariants, ChecksEnabled::for_optslice());
@@ -173,9 +230,103 @@ impl OptSlicePlans {
         let mut optimistic = GiriTool::plan_for(program, Some(pred_slice.sites()));
         optimistic.union_with(&checker);
         Self {
+            program,
+            endpoints,
+            invariants,
+            sound_slice,
+            pred_slice,
             hybrid: GiriTool::plan_for(program, Some(sound_slice.sites())),
             checker,
             optimistic,
+        }
+    }
+
+    /// Runs `input` under one configuration on `runner`'s machines,
+    /// recording its span and counters into `runner`'s registry. Each
+    /// slicer absorbs its plan's elision tally after its run, so
+    /// per-input counters stay exact.
+    fn execute(&self, runner: &Runner<'_>, input: &[i64], run: SliceRun) -> SliceResult {
+        let (program, machine, registry) = (self.program, &runner.machine, &runner.registry);
+        match run {
+            SliceRun::Baseline => {
+                // Uninstrumented: no plan either (a plan that elides
+                // everything would swap free no-op dispatches for elision
+                // bookkeeping).
+                let span = registry.span("baseline");
+                machine.run(input, &mut NoopTracer);
+                SliceResult::Baseline(span.finish())
+            }
+            SliceRun::Hybrid => {
+                let span = registry.span("hybrid");
+                let mut hybrid = GiriTool::hybrid(program, self.sound_slice.sites());
+                machine.run_with_plan(input, &mut hybrid, Some(&self.hybrid));
+                let time = span.finish();
+                hybrid.absorb_plan_elisions(&self.hybrid.take_elisions());
+                SliceResult::Hybrid(time, slice_endpoints(&hybrid, self.endpoints))
+            }
+            SliceRun::Checker => {
+                let span = registry.span("checker");
+                let mut checker =
+                    InvariantChecker::new(program, self.invariants, ChecksEnabled::for_optslice());
+                machine.run_with_plan(input, &mut checker, Some(&self.checker));
+                // The checker's stats count only the events its plan
+                // dispatches, so it absorbs nothing.
+                SliceResult::Checker(span.finish())
+            }
+            SliceRun::Optimistic => self.speculate(runner, input),
+        }
+    }
+
+    /// The speculative run, with the schedule recorded for rollback.
+    fn speculate(&self, runner: &Runner<'_>, input: &[i64]) -> SliceResult {
+        let (program, registry) = (self.program, &runner.registry);
+        let span = registry.span("optimistic");
+        let opt_tool = GiriTool::hybrid(program, self.pred_slice.sites());
+        let checker =
+            InvariantChecker::new(program, self.invariants, ChecksEnabled::for_optslice());
+        let mut combined = MultiTracer::new(opt_tool, checker);
+        let (_, schedule) = runner.spec_machine.run_recording_with_plan(
+            input,
+            &mut combined,
+            Some(&self.optimistic),
+        );
+        let time = span.finish();
+        combined
+            .first
+            .absorb_plan_elisions(&self.optimistic.take_elisions());
+        combined.first.record_metrics(registry, "optslice.giri");
+        combined.second.record_metrics(registry, "optslice.check");
+
+        let rolled_back = combined.second.is_violated();
+        let (slice, rollback) = if rolled_back {
+            registry.add("optslice.rollback", 1);
+            for v in combined.second.violations() {
+                registry.add(&format!("optslice.rollback.cause.{}", v.class()), 1);
+            }
+            // The speculative trace is done with: drop it before the
+            // replay builds the next one.
+            drop(combined);
+            // Replay the identical interleaving under the traditional
+            // hybrid slicer.
+            let span = registry.span("rollback");
+            let mut redo = GiriTool::hybrid(program, self.sound_slice.sites());
+            runner
+                .machine
+                .run_replay_with_plan(input, &schedule, &mut redo, Some(&self.hybrid));
+            let rollback = span.finish();
+            redo.absorb_plan_elisions(&self.hybrid.take_elisions());
+            (slice_endpoints(&redo, self.endpoints), rollback)
+        } else {
+            (
+                slice_endpoints(&combined.first, self.endpoints),
+                Duration::ZERO,
+            )
+        };
+        SliceResult::Optimistic {
+            time,
+            rolled_back,
+            rollback,
+            slice,
         }
     }
 }
@@ -389,12 +540,14 @@ impl<'a> OptSlice<'a> {
     ) -> Result<OptSliceOutcome, NeedCorpus> {
         let program = self.pipeline.program();
         let registry = self.pipeline.metrics().clone();
-        let machine = Machine::new(program, self.pipeline.config().machine);
         // The speculative runs dispatch through a metrics-attached machine:
         // `optslice.spec.hook.*` counts every event the optimistic slicer
         // could have seen, elided or traced.
-        let spec_machine = Machine::new(program, self.pipeline.config().machine)
-            .with_metrics(&registry, "optslice.spec");
+        let runner = Runner::new(
+            Machine::new(program, self.pipeline.config().machine),
+            registry.clone(),
+            SPEC_PREFIX,
+        );
         let pipeline_span = registry.span("optslice");
 
         let corpus = self.pipeline.run_corpus(profiling, PATIENCE);
@@ -421,81 +574,55 @@ impl<'a> OptSlice<'a> {
                 + pred_report.slice_time,
         );
 
-        // Compile per-instruction instrumentation plans once and reuse
-        // them for every testing input.
-        let plans = OptSlicePlans::compile(program, &sound_slice, &pred_slice, &invariants);
-
+        // One task per (input, configuration) on the pool's fixed lanes.
+        let dynamic = SliceDynamic::new(
+            program,
+            &self.endpoints,
+            &invariants,
+            &sound_slice,
+            &pred_slice,
+        );
         let dynamic_span = registry.span("dynamic");
+        let tasks: Vec<(&[i64], SliceRun)> = testing
+            .iter()
+            .flat_map(|input| SliceRun::ALL.map(|run| (input.as_slice(), run)))
+            .collect();
+        let mut results = runner
+            .run_all(
+                self.pipeline.pool(),
+                &tasks,
+                |&(_, run)| run.lane(),
+                |runner, &(input, run)| dynamic.execute(runner, input, run),
+            )
+            .into_iter();
         let mut runs = Vec::with_capacity(testing.len());
-        for input in testing {
-            let span = registry.span("baseline");
-            // Uninstrumented: no plan either (a plan that elides everything
-            // would swap free no-op dispatches for elision bookkeeping).
-            machine.run(input, &mut NoopTracer);
-            let baseline = span.finish();
-
-            let span = registry.span("hybrid");
-            let mut hybrid = GiriTool::hybrid(program, sound_slice.sites());
-            machine.run_with_plan(input, &mut hybrid, Some(&plans.hybrid));
-            let hybrid_time = span.finish();
-            hybrid.absorb_plan_elisions(&plans.hybrid.take_elisions());
-            let hybrid_slice = self.slice_endpoints(&hybrid);
-
-            let span = registry.span("checker");
-            let mut checker_only =
-                InvariantChecker::new(program, &invariants, ChecksEnabled::for_optslice());
-            machine.run_with_plan(input, &mut checker_only, Some(&plans.checker));
-            let checker_only_time = span.finish();
-            // Nothing to absorb: the checker's stats count only the events
-            // its plan dispatches. Drain the tally for reuse.
-            plans.checker.take_elisions();
-
-            // Speculative run with the schedule recorded for rollback.
-            let span = registry.span("optimistic");
-            let opt_tool = GiriTool::hybrid(program, pred_slice.sites());
-            let checker =
-                InvariantChecker::new(program, &invariants, ChecksEnabled::for_optslice());
-            let mut combined = MultiTracer::new(opt_tool, checker);
-            let (_, schedule) =
-                spec_machine.run_recording_with_plan(input, &mut combined, Some(&plans.optimistic));
-            let optimistic_time = span.finish();
-            combined
-                .first
-                .absorb_plan_elisions(&plans.optimistic.take_elisions());
-            combined.first.record_metrics(&registry, "optslice.giri");
-            combined.second.record_metrics(&registry, "optslice.check");
-
-            let rolled_back = combined.second.is_violated();
-            let (opt_slice, rollback) = if rolled_back {
-                registry.add("optslice.rollback", 1);
-                for v in combined.second.violations() {
-                    registry.add(&format!("optslice.rollback.cause.{}", v.class()), 1);
+        for _ in testing {
+            let mut run = OptSliceRun::default();
+            let mut hybrid_slice = DynamicSlice::default();
+            let mut opt_slice = DynamicSlice::default();
+            for result in results.by_ref().take(SliceRun::ALL.len()) {
+                match result {
+                    SliceResult::Baseline(time) => run.baseline = time,
+                    SliceResult::Hybrid(time, slice) => (run.hybrid, hybrid_slice) = (time, slice),
+                    SliceResult::Checker(time) => run.checker_only = time,
+                    SliceResult::Optimistic {
+                        time,
+                        rolled_back,
+                        rollback,
+                        slice,
+                    } => {
+                        (run.optimistic, run.rolled_back, run.rollback) =
+                            (time, rolled_back, rollback);
+                        opt_slice = slice;
+                    }
                 }
-                // Replay the identical interleaving under the traditional
-                // hybrid slicer.
-                let span = registry.span("rollback");
-                let mut redo = GiriTool::hybrid(program, sound_slice.sites());
-                machine.run_replay_with_plan(input, &schedule, &mut redo, Some(&plans.hybrid));
-                let rollback_time = span.finish();
-                redo.absorb_plan_elisions(&plans.hybrid.take_elisions());
-                (self.slice_endpoints(&redo), rollback_time)
-            } else {
-                (self.slice_endpoints(&combined.first), Duration::ZERO)
-            };
-
-            registry.observe_duration("optslice.run.baseline_ns", baseline);
-            registry.observe_duration("optslice.run.optimistic_ns", optimistic_time + rollback);
-            runs.push(OptSliceRun {
-                baseline,
-                hybrid: hybrid_time,
-                optimistic: optimistic_time,
-                checker_only: checker_only_time,
-                rolled_back,
-                rollback,
-                hybrid_slice_len: hybrid_slice.len(),
-                opt_slice_len: opt_slice.len(),
-                slices_equal: hybrid_slice == opt_slice,
-            });
+            }
+            registry.observe_duration("optslice.run.baseline_ns", run.baseline);
+            registry.observe_duration("optslice.run.optimistic_ns", run.optimistic + run.rollback);
+            run.hybrid_slice_len = hybrid_slice.len();
+            run.opt_slice_len = opt_slice.len();
+            run.slices_equal = hybrid_slice == opt_slice;
+            runs.push(run);
         }
         registry.observe_duration("optslice.phase.dynamic_ns", dynamic_span.finish());
         pipeline_span.finish();
@@ -552,14 +679,15 @@ impl<'a> OptSlice<'a> {
         outcome.report = report;
         Ok(outcome)
     }
+}
 
-    fn slice_endpoints(&self, tool: &GiriTool<'_>) -> DynamicSlice {
-        let mut acc = DynamicSlice::default();
-        for &e in &self.endpoints {
-            acc.union_with(&tool.slice_of(e));
-        }
-        acc
+/// The union of `tool`'s dynamic slices of `endpoints`.
+fn slice_endpoints(tool: &GiriTool<'_>, endpoints: &[InstId]) -> DynamicSlice {
+    let mut acc = DynamicSlice::default();
+    for &e in endpoints {
+        acc.union_with(&tool.slice_of(e));
     }
+    acc
 }
 
 /// Runs the most accurate analyses that complete within budget: CS first,

@@ -124,12 +124,15 @@ pub struct PipelineConfig {
     pub solver_budget: u64,
     /// Visit budget for the static slicer.
     pub visit_budget: u64,
-    /// Worker threads for the profiling phase. `0` (the default) resolves
-    /// at run time to the `OHA_THREADS` environment override, falling back
-    /// to [`std::thread::available_parallelism`]. The thread count never
+    /// Worker threads of the pipeline's one pool, which runs the
+    /// profiling phase's executions, the static phase's sound and
+    /// predicated sides, and the dynamic phase's executions of each
+    /// testing input. `0` (the default) resolves at run time to the
+    /// `OHA_THREADS` environment override, falling back to
+    /// [`std::thread::available_parallelism`]. The thread count never
     /// changes results: each interpreter run is seeded and deterministic on
-    /// its own, and run profiles merge in input order (see DESIGN.md
-    /// "Parallelism").
+    /// its own, and profiles, static sides and dynamic-phase outcomes
+    /// merge in a fixed order (see DESIGN.md "Parallelism").
     pub threads: usize,
     /// Optional persistent artifact store. When set, the expensive pure
     /// phases (profiling, predicated static analysis) are keyed by content
@@ -314,12 +317,13 @@ impl Pipeline {
         &self.metrics
     }
 
-    /// The worker pool shared by the profiling *and* static phases. Sized
-    /// once when the configuration is set ([`PipelineConfig::threads`]
-    /// when non-zero, otherwise the `OHA_THREADS` environment override,
-    /// otherwise [`std::thread::available_parallelism`]); every call hands
-    /// out a copy of the same pool and bumps the `pipeline.pool.reuse`
-    /// counter so tests can assert the sharing.
+    /// The worker pool shared by the profiling, static and dynamic
+    /// phases. Sized once when the configuration is set
+    /// ([`PipelineConfig::threads`] when non-zero, otherwise the
+    /// `OHA_THREADS` environment override, otherwise
+    /// [`std::thread::available_parallelism`]); every call hands out a
+    /// copy of the same pool and bumps the `pipeline.pool.reuse` counter so
+    /// tests can assert the sharing.
     pub fn pool(&self) -> Pool {
         self.metrics.add("pipeline.pool.reuse", 1);
         self.pool

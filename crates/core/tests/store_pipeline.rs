@@ -69,35 +69,11 @@ fn locked_counter() -> Program {
     pb.finish(main).unwrap()
 }
 
-/// Input-dependent cold path that violates the profiled invariants (and
-/// really races) when `sel == 1`.
+/// The program of [`oha_workloads::micro::cold_path_race`]: input `1`
+/// takes a cold path that writes the shared global unlocked, so after
+/// profiling only `0` it mis-speculates.
 fn cold_path_racer() -> Program {
-    let mut pb = ProgramBuilder::new();
-    let g = pb.global("shared", 1);
-    let w = pb.declare("worker", 1);
-    let mut m = pb.function("main", 0);
-    let sel = m.input();
-    let cold = m.block();
-    let spawn_b = m.block();
-    m.branch(R(sel), cold, spawn_b);
-    m.select(cold);
-    let ga = m.addr_global(g);
-    let t1 = m.spawn(w, Const(5));
-    m.store(R(ga), 0, Const(-1));
-    m.join(R(t1));
-    m.ret(None);
-    m.select(spawn_b);
-    let t1 = m.spawn(w, Const(5));
-    m.join(R(t1));
-    m.ret(None);
-    let main = pb.finish_function(m);
-    let mut wf = pb.function("worker", 1);
-    let ga = wf.addr_global(g);
-    let v = wf.load(R(ga), 0);
-    wf.store(R(ga), 0, R(v));
-    wf.ret(None);
-    pb.finish_function(wf);
-    pb.finish(main).unwrap()
+    oha_workloads::micro::cold_path_race().program
 }
 
 fn output_endpoint(p: &Program) -> InstId {

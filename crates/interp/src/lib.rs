@@ -50,7 +50,8 @@ mod value;
 
 pub use heap::Heap;
 pub use machine::{
-    HookCounters, Machine, MachineConfig, RunResult, RuntimeError, ScheduleTrace, Termination,
+    HookCounters, Machine, MachineConfig, MachineImage, RunResult, RuntimeError, ScheduleTrace,
+    Termination,
 };
 pub use plan::{hooks, InstrPlan, PlanElisions};
 pub use shadow::ShadowMap;

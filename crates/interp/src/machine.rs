@@ -3,6 +3,7 @@
 
 use std::cell::Cell;
 use std::rc::Rc;
+use std::sync::Arc;
 
 use oha_ir::{BlockId, Callee, CmpOp, FuncId, InstId, InstKind, Operand, Program, Reg, Terminator};
 use oha_obs::{Counter, MetricsRegistry};
@@ -395,27 +396,56 @@ impl DecodedProgram {
 /// `Machine` is immutable; every [`Machine::run`] creates fresh execution
 /// state, so the same machine can replay an execution (same input and seed)
 /// or explore schedules (different seeds).
+///
+/// A machine stays on the thread that made it (its hook counters are
+/// registry handles). To run the same program on other threads, hand them
+/// its [`Machine::image`] and build a machine there.
 #[derive(Clone, Debug)]
 pub struct Machine<'p> {
-    program: &'p Program,
-    config: MachineConfig,
+    image: MachineImage<'p>,
     /// Shared by handle: every run construction and counting tracer holds
     /// the same `Rc` instead of paying an O(counters) clone per execution.
     metrics: Rc<HookCounters>,
-    /// Per-instruction callee/operand pre-decode, built once here and
-    /// shared by every execution (`Rc` keeps machine clones cheap).
-    decoded: Rc<DecodedProgram>,
+}
+
+/// The thread-shareable part of a [`Machine`]: the program, the
+/// configuration and the per-instruction pre-decode. Cloning it shares
+/// the decode, so a machine built from it on another thread does not
+/// decode the program again.
+#[derive(Clone, Debug)]
+pub struct MachineImage<'p> {
+    program: &'p Program,
+    config: MachineConfig,
+    /// Per-instruction callee/operand pre-decode, built once and shared
+    /// by every execution and every machine made from this image.
+    decoded: Arc<DecodedProgram>,
+}
+
+impl<'p> MachineImage<'p> {
+    /// A machine with detached hook counters over this image.
+    pub fn machine(&self) -> Machine<'p> {
+        Machine {
+            image: self.clone(),
+            metrics: Rc::new(HookCounters::default()),
+        }
+    }
 }
 
 impl<'p> Machine<'p> {
     /// Creates a machine for `program`.
     pub fn new(program: &'p Program, config: MachineConfig) -> Self {
-        Self {
+        MachineImage {
             program,
             config,
-            metrics: Rc::new(HookCounters::default()),
-            decoded: Rc::new(DecodedProgram::new(program)),
+            decoded: Arc::new(DecodedProgram::new(program)),
         }
+        .machine()
+    }
+
+    /// This machine's program, configuration and pre-decode, which can
+    /// cross threads.
+    pub fn image(&self) -> &MachineImage<'p> {
+        &self.image
     }
 
     /// Attaches hook-dispatch and scheduler counters registered in
@@ -433,12 +463,12 @@ impl<'p> Machine<'p> {
 
     /// The program this machine executes.
     pub fn program(&self) -> &'p Program {
-        self.program
+        self.image.program
     }
 
     /// The machine configuration.
     pub fn config(&self) -> MachineConfig {
-        self.config
+        self.image.config
     }
 
     /// Executes the program on `input`, reporting events to `tracer`.
@@ -456,7 +486,7 @@ impl<'p> Machine<'p> {
         tracer: &mut T,
         plan: Option<&InstrPlan>,
     ) -> RunResult {
-        let sched = Scheduler::Random(SplitMix64(self.config.seed));
+        let sched = Scheduler::Random(SplitMix64(self.image.config.seed));
         self.execute(input, tracer, sched, plan, false).0
     }
 
@@ -465,7 +495,7 @@ impl<'p> Machine<'p> {
     /// hook. Production runs take the burst loop instead; tests compare
     /// the two (results, events, tool state and hook totals must agree).
     pub fn run_reference<T: Tracer>(&self, input: &[i64], tracer: &mut T) -> RunResult {
-        let sched = Scheduler::Random(SplitMix64(self.config.seed));
+        let sched = Scheduler::Random(SplitMix64(self.image.config.seed));
         self.execute(input, tracer, sched, None, true).0
     }
 
@@ -488,7 +518,8 @@ impl<'p> Machine<'p> {
         tracer: &mut T,
         plan: Option<&InstrPlan>,
     ) -> (RunResult, ScheduleTrace) {
-        let sched = Scheduler::Recording(SplitMix64(self.config.seed), ScheduleTrace::default());
+        let sched =
+            Scheduler::Recording(SplitMix64(self.image.config.seed), ScheduleTrace::default());
         match self.execute(input, tracer, sched, plan, false) {
             (result, Scheduler::Recording(_, trace)) => (result, trace),
             _ => unreachable!("recording scheduler preserved"),
@@ -535,9 +566,9 @@ impl<'p> Machine<'p> {
             counters: Rc::clone(&self.metrics),
         };
         Execution::new(
-            self.program,
-            &self.decoded,
-            self.config,
+            self.image.program,
+            &self.image.decoded,
+            self.image.config,
             input,
             sched,
             Rc::clone(&self.metrics),
@@ -563,6 +594,9 @@ struct Execution<'p, 'i> {
     counters: Rc<HookCounters>,
     /// Hook mask per site; `None` dispatches everything.
     plan: Option<&'i InstrPlan>,
+    /// This run's plan-skipped dispatches, deposited in the plan at the
+    /// end of the run.
+    elided: ElisionCells,
     /// Register storage recycled from popped frames; bounded by the
     /// deepest call stack the run reaches.
     regs_pool: Vec<Vec<Value>>,
@@ -624,6 +658,7 @@ impl<'p, 'i> Execution<'p, 'i> {
             outputs: Vec::new(),
             counters,
             plan,
+            elided: ElisionCells::default(),
             regs_pool: Vec::new(),
             argv_pool: Vec::new(),
         };
@@ -695,15 +730,13 @@ impl<'p, 'i> Execution<'p, 'i> {
         self.plan.is_none_or(InstrPlan::block_enter)
     }
 
-    /// Tallies one plan-skipped dispatch (no-op without a plan). The
+    /// Tallies one plan-skipped dispatch (only a plan skips any). The
     /// matching hook counter is deliberately NOT bumped here — the run
     /// loop flushes the tally into the hook counters in bulk at end of
     /// run, keeping the skip path at one 8-byte RMW per event.
     #[inline]
     fn note_elided(&self, select: impl FnOnce(&ElisionCells) -> &Cell<u64>) {
-        if let Some(p) = self.plan {
-            p.note(select);
-        }
+        self.elided.note(select);
     }
 
     /// Dispatches or elides a block-enter event.
@@ -794,12 +827,13 @@ impl<'p, 'i> Execution<'p, 'i> {
             }
         };
 
-        // Bulk-flush the plan's elision tally into the hook counters, so
+        // Bulk-flush the run's elision tally into the hook counters, so
         // the identity "hook counter = dispatched + elided" holds without
-        // a per-event counter bump on the skip path. The tally itself is
-        // left for the owning tool's `take_elisions`.
+        // a per-event counter bump on the skip path, and deposit it in the
+        // plan for the owning tool's `take_elisions`.
         if let Some(p) = self.plan {
-            let e = p.peek_elisions();
+            let e = self.elided.total();
+            p.deposit(&e);
             self.counters.load.add(e.loads);
             self.counters.store.add(e.stores);
             self.counters.lock.add(e.locks);
@@ -1246,6 +1280,7 @@ impl<'p, 'i> Execution<'p, 'i> {
                     next_frame,
                     regs_pool,
                     argv_pool,
+                    elided,
                     ..
                 } = self;
                 let thread = &mut threads[ti];
@@ -1269,8 +1304,8 @@ impl<'p, 'i> Execution<'p, 'i> {
                                     frame.pc = 0;
                                     if plan.is_none_or(InstrPlan::block_enter) {
                                         tracer.on_block_enter(tid, frame_id, b);
-                                    } else if let Some(p) = plan {
-                                        p.note(|e| &e.block_enters);
+                                    } else {
+                                        elided.note(|e| &e.block_enters);
                                     }
                                     continue 'burst;
                                 }
@@ -1289,8 +1324,8 @@ impl<'p, 'i> Execution<'p, 'i> {
                                     frame.pc = 0;
                                     if plan.is_none_or(InstrPlan::block_enter) {
                                         tracer.on_block_enter(tid, frame_id, b);
-                                    } else if let Some(p) = plan {
-                                        p.note(|e| &e.block_enters);
+                                    } else {
+                                        elided.note(|e| &e.block_enters);
                                     }
                                     continue 'burst;
                                 }
@@ -1314,8 +1349,8 @@ impl<'p, 'i> Execution<'p, 'i> {
                             () => {
                                 if pmask & hooks::COMPUTE != 0 {
                                     tracer.on_compute(ctx(tid, frame_id, inst_id));
-                                } else if let Some(p) = plan {
-                                    p.note(|e| &e.computes);
+                                } else {
+                                    elided.note(|e| &e.computes);
                                 }
                             };
                         }
@@ -1405,8 +1440,8 @@ impl<'p, 'i> Execution<'p, 'i> {
                                 frame.pc += 1;
                                 if pmask & hooks::LOAD != 0 {
                                     tracer.on_load(ctx(tid, frame_id, inst_id), a, v);
-                                } else if let Some(p) = plan {
-                                    p.note(|e| &e.loads);
+                                } else {
+                                    elided.note(|e| &e.loads);
                                 }
                             }
                             InstKind::Store { addr, field, value } => {
@@ -1430,8 +1465,8 @@ impl<'p, 'i> Execution<'p, 'i> {
                                 frame.pc += 1;
                                 if pmask & hooks::STORE != 0 {
                                     tracer.on_store(ctx(tid, frame_id, inst_id), a, v);
-                                } else if let Some(p) = plan {
-                                    p.note(|e| &e.stores);
+                                } else {
+                                    elided.note(|e| &e.stores);
                                 }
                             }
                             InstKind::Input { dst } => {
@@ -1442,8 +1477,8 @@ impl<'p, 'i> Execution<'p, 'i> {
                                 frame.pc += 1;
                                 if pmask & hooks::INPUT != 0 {
                                     tracer.on_input(ctx(tid, frame_id, inst_id), v);
-                                } else if let Some(p) = plan {
-                                    p.note(|e| &e.inputs);
+                                } else {
+                                    elided.note(|e| &e.inputs);
                                 }
                             }
                             InstKind::Output { value } => {
@@ -1453,8 +1488,8 @@ impl<'p, 'i> Execution<'p, 'i> {
                                 outputs.push((inst_id, v));
                                 if pmask & hooks::OUTPUT != 0 {
                                     tracer.on_output(ctx(tid, frame_id, inst_id), v);
-                                } else if let Some(p) = plan {
-                                    p.note(|e| &e.outputs);
+                                } else {
+                                    elided.note(|e| &e.outputs);
                                 }
                             }
                             InstKind::Call { dst, ref args, .. } => {
@@ -1519,8 +1554,8 @@ impl<'p, 'i> Execution<'p, 'i> {
                                     caller_frame,
                                     call_inst,
                                 );
-                            } else if let Some(p) = plan {
-                                p.note(|e| &e.returns);
+                            } else {
+                                elided.note(|e| &e.returns);
                             }
                             let mut regs = std::mem::take(&mut popped.regs);
                             regs.clear();
@@ -1560,13 +1595,13 @@ impl<'p, 'i> Execution<'p, 'i> {
                                     d.func,
                                     callee_frame,
                                 );
-                            } else if let Some(p) = plan {
-                                p.note(|e| &e.calls);
+                            } else {
+                                elided.note(|e| &e.calls);
                             }
                             if plan.is_none_or(InstrPlan::block_enter) {
                                 tracer.on_block_enter(tid, callee_frame, d.entry);
-                            } else if let Some(p) = plan {
-                                p.note(|e| &e.block_enters);
+                            } else {
+                                elided.note(|e| &e.block_enters);
                             }
                         }
                     }

@@ -23,14 +23,21 @@
 //! when it needs the matching call events.
 //!
 //! **Elided events stay counted.** When the machine skips a dispatch it
-//! tallies the skip in the plan's per-kind cells (one 8-byte RMW); at
-//! end of run the machine flushes the tallies into its hook counters in
-//! bulk, and the owning tool absorbs the same [`PlanElisions`] into its
-//! own elision counters. That keeps the elision identity from
-//! `tests/observability.rs` (hook dispatches = elided + executed)
-//! balanced to the event, with or without a plan.
+//! tallies the skip in the run's own per-kind cells (one 8-byte RMW); at
+//! end of run the machine flushes the tally into its hook counters in
+//! bulk and deposits it in the plan, from which the owning tool drains
+//! the same [`PlanElisions`] into its own elision counters. That keeps
+//! the elision identity from `tests/observability.rs` (hook dispatches =
+//! elided + executed) balanced to the event, with or without a plan.
+//!
+//! The tally is run state, so a plan is immutable while runs use it and
+//! can be shared by runs on several threads. Each run deposits once, at
+//! its end; runs that share one plan concurrently share its deposit, so
+//! a caller that needs per-run figures drains the plan from one thread
+//! between its runs.
 
 use std::cell::Cell;
+use std::sync::Mutex;
 
 use oha_ir::InstId;
 
@@ -83,6 +90,20 @@ pub struct PlanElisions {
 }
 
 impl PlanElisions {
+    /// Adds another tally into this one.
+    pub(crate) fn add(&mut self, other: &PlanElisions) {
+        self.loads += other.loads;
+        self.stores += other.stores;
+        self.locks += other.locks;
+        self.unlocks += other.unlocks;
+        self.computes += other.computes;
+        self.calls += other.calls;
+        self.returns += other.returns;
+        self.inputs += other.inputs;
+        self.outputs += other.outputs;
+        self.block_enters += other.block_enters;
+    }
+
     /// Skipped memory-access dispatches (loads + stores).
     pub fn accesses(&self) -> u64 {
         self.loads + self.stores
@@ -100,12 +121,12 @@ impl PlanElisions {
     }
 }
 
-/// Per-kind elision tallies as individual cells, so the step loop's
-/// skip path costs one 8-byte read-modify-write (a whole-struct
+/// One run's per-kind elision tallies as individual cells, so the step
+/// loop's skip path costs one 8-byte read-modify-write (a whole-struct
 /// `Cell<PlanElisions>` would make every skip a 80-byte copy in and
 /// out — measurably slower than just dispatching on compute-heavy
 /// workloads).
-#[derive(Clone, Debug, Default)]
+#[derive(Debug, Default)]
 pub(crate) struct ElisionCells {
     pub(crate) loads: Cell<u64>,
     pub(crate) stores: Cell<u64>,
@@ -119,13 +140,39 @@ pub(crate) struct ElisionCells {
     pub(crate) block_enters: Cell<u64>,
 }
 
+impl ElisionCells {
+    /// Records one skipped dispatch on the cell `select` picks.
+    #[inline]
+    pub(crate) fn note(&self, select: impl FnOnce(&ElisionCells) -> &Cell<u64>) {
+        let cell = select(self);
+        cell.set(cell.get() + 1);
+    }
+
+    /// The tally so far.
+    pub(crate) fn total(&self) -> PlanElisions {
+        PlanElisions {
+            loads: self.loads.get(),
+            stores: self.stores.get(),
+            locks: self.locks.get(),
+            unlocks: self.unlocks.get(),
+            computes: self.computes.get(),
+            calls: self.calls.get(),
+            returns: self.returns.get(),
+            inputs: self.inputs.get(),
+            outputs: self.outputs.get(),
+            block_enters: self.block_enters.get(),
+        }
+    }
+}
+
 /// A compiled instrumentation plan: per-instruction hook masks plus the
-/// block-enter flag, with the elision tally for the current run.
-#[derive(Clone, Debug)]
+/// block-enter flag, and the elision tallies its finished runs deposited
+/// and no caller has drained yet.
+#[derive(Debug)]
 pub struct InstrPlan {
     mask: Vec<u8>,
     block_enter: bool,
-    elided: ElisionCells,
+    deposited: Mutex<PlanElisions>,
 }
 
 impl InstrPlan {
@@ -135,7 +182,7 @@ impl InstrPlan {
         Self {
             mask: vec![0; num_insts],
             block_enter: false,
-            elided: ElisionCells::default(),
+            deposited: Mutex::default(),
         }
     }
 
@@ -145,7 +192,7 @@ impl InstrPlan {
         Self {
             mask: vec![hooks::ALL; num_insts],
             block_enter: true,
-            elided: ElisionCells::default(),
+            deposited: Mutex::default(),
         }
     }
 
@@ -181,48 +228,24 @@ impl InstrPlan {
         self.block_enter |= other.block_enter;
     }
 
-    /// Drains the elision tally accumulated since the last call; the
-    /// owning tool adds it to its own elision counters after each run.
+    /// Drains the elision tallies deposited since the last call (one per
+    /// run that finished under this plan); the owning tool adds them to
+    /// its own elision counters after each run.
     pub fn take_elisions(&self) -> PlanElisions {
-        PlanElisions {
-            loads: self.elided.loads.take(),
-            stores: self.elided.stores.take(),
-            locks: self.elided.locks.take(),
-            unlocks: self.elided.unlocks.take(),
-            computes: self.elided.computes.take(),
-            calls: self.elided.calls.take(),
-            returns: self.elided.returns.take(),
-            inputs: self.elided.inputs.take(),
-            outputs: self.elided.outputs.take(),
-            block_enters: self.elided.block_enters.take(),
-        }
+        std::mem::take(&mut *self.lock())
     }
 
-    /// Reads the tally without draining it (machine-internal: the bulk
-    /// hook-counter flush at end of run must leave the tally for the
-    /// owning tool's `take_elisions`).
-    #[inline]
-    pub(crate) fn peek_elisions(&self) -> PlanElisions {
-        PlanElisions {
-            loads: self.elided.loads.get(),
-            stores: self.elided.stores.get(),
-            locks: self.elided.locks.get(),
-            unlocks: self.elided.unlocks.get(),
-            computes: self.elided.computes.get(),
-            calls: self.elided.calls.get(),
-            returns: self.elided.returns.get(),
-            inputs: self.elided.inputs.get(),
-            outputs: self.elided.outputs.get(),
-            block_enters: self.elided.block_enters.get(),
-        }
+    /// Adds one finished run's tally (machine-internal).
+    pub(crate) fn deposit(&self, run: &PlanElisions) {
+        self.lock().add(run);
     }
 
-    /// Records one skipped dispatch (machine-internal): one 8-byte RMW
-    /// on the cell `select` picks.
-    #[inline]
-    pub(crate) fn note(&self, select: impl FnOnce(&ElisionCells) -> &Cell<u64>) {
-        let cell = select(&self.elided);
-        cell.set(cell.get() + 1);
+    fn lock(&self) -> std::sync::MutexGuard<'_, PlanElisions> {
+        // The tally is plain counts: a panic elsewhere cannot leave it
+        // half-written, so a poisoned lock is still safe to read.
+        self.deposited
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner)
     }
 }
 
@@ -247,9 +270,11 @@ mod tests {
         assert_eq!(a.mask(InstId::new(2)), hooks::CALL);
         assert!(a.block_enter());
 
-        a.note(|e| &e.loads);
-        a.note(|e| &e.loads);
-        a.note(|e| &e.locks);
+        let run = ElisionCells::default();
+        run.note(|e| &e.loads);
+        run.note(|e| &e.loads);
+        run.note(|e| &e.locks);
+        a.deposit(&run.total());
         let e = a.take_elisions();
         assert_eq!((e.loads, e.locks), (2, 1));
         assert_eq!(e.accesses(), 2);

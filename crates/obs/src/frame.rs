@@ -105,6 +105,13 @@ impl MetricsFrame {
             && self.hists.is_empty()
     }
 
+    /// Whether absorbing this frame commutes with absorbing any other: it
+    /// carries only counters, span statistics and histograms, which add.
+    /// Gauges (last write wins) and series (appended) do not commute.
+    pub fn commutes(&self) -> bool {
+        self.gauges.is_empty() && self.series.is_empty()
+    }
+
     /// Folds `other` into `self`: counters, span stats and histograms
     /// add, series append (`other`'s elements after `self`'s), gauges
     /// last-write-wins.
@@ -218,6 +225,7 @@ mod tests {
         b.push_series("s", 2.0);
         b.add_span("p", Duration::from_millis(3));
 
+        assert!(!a.commutes(), "gauges and series do not commute");
         a.merge(&b);
         assert_eq!(a.counter_value("hits"), 13);
         assert_eq!(a.gauges["g"], 2.0);
@@ -229,7 +237,10 @@ mod tests {
     #[test]
     fn histograms_shard_and_absorb() {
         let mut a = MetricsFrame::new();
+        a.add("n", 1);
+        a.add_span("p", Duration::from_millis(1));
         a.observe("lat", 10);
+        assert!(a.commutes(), "counters, spans and histograms add");
         a.observe_duration("lat", Duration::from_nanos(20));
         let mut b = MetricsFrame::new();
         b.observe("lat", 1 << 40);

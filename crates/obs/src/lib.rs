@@ -40,6 +40,6 @@ mod trace;
 pub use frame::{MetricsFrame, SyncFrame};
 pub use hist::{bucket_bound, bucket_of, Histogram, HIST_BUCKETS};
 pub use json::{Json, JsonError};
-pub use registry::{Counter, MetricsRegistry, SpanGuard, SpanStat};
+pub use registry::{Counter, MetricsRegistry, RegistryFork, SpanGuard, SpanStat};
 pub use report::{RunReport, SpanEntry, TableArtifact, NON_FINITE_DROPPED};
 pub use trace::{TraceEvent, TraceEventKind, TraceLog, DEFAULT_TRACE_CAPACITY, TRACE_ENV};

@@ -195,6 +195,17 @@ impl MetricsRegistry {
         }
     }
 
+    /// Where this registry's open spans stand, as a `Send` value another
+    /// thread can build its own registry from (see [`RegistryFork`]).
+    pub fn fork(&self) -> RegistryFork {
+        let inner = self.inner.borrow();
+        RegistryFork {
+            prefix: inner.stack.iter().map(|(s, _)| s.clone()).collect(),
+            trace: inner.trace.clone(),
+            trace_id: inner.trace_id,
+        }
+    }
+
     /// Attaches a trace log, allocating this registry its own viewer
     /// track. Spans opened afterwards emit begin/end events.
     pub fn set_trace(&self, trace: TraceLog) {
@@ -414,6 +425,37 @@ impl MetricsRegistry {
     }
 }
 
+/// A registry's open span path, trace log and trace ID, taken by
+/// [`MetricsRegistry::fork`]. Work that runs on another thread inside
+/// those spans records into [`RegistryFork::registry`] and hands the
+/// result back as a [`MetricsFrame`] for the forked registry to
+/// [`absorb`](MetricsRegistry::absorb).
+#[derive(Clone, Debug)]
+pub struct RegistryFork {
+    prefix: Vec<String>,
+    trace: TraceLog,
+    trace_id: u64,
+}
+
+impl RegistryFork {
+    /// A fresh registry whose spans nest under the forked path: a span
+    /// `s` opened on it records as `<forked path>/s`, and the forked spans
+    /// themselves are not recorded again. When tracing, its events carry
+    /// the forked trace ID on a viewer track of their own, each span
+    /// opened at the top rooted on that track.
+    pub fn registry(&self) -> MetricsRegistry {
+        let registry = MetricsRegistry::new();
+        {
+            let mut inner = registry.inner.borrow_mut();
+            inner.stack = self.prefix.iter().map(|s| (s.clone(), 0)).collect();
+            inner.tid = self.trace.alloc_tid();
+            inner.trace = self.trace.clone();
+            inner.trace_id = self.trace_id;
+        }
+        registry
+    }
+}
+
 #[derive(Debug)]
 struct SpanGuardInner {
     registry: MetricsRegistry,
@@ -551,6 +593,40 @@ mod tests {
         assert!(events.iter().all(|e| e.trace_id == trace_id));
         // The aggregate span stats are unchanged by tracing.
         assert_eq!(reg.span_stat("optft/profile").unwrap().count, 1);
+    }
+
+    #[test]
+    fn forked_registries_nest_under_the_open_path_on_their_own_track() {
+        let reg = MetricsRegistry::new();
+        let log = TraceLog::enabled(64);
+        reg.set_trace(log.clone());
+        let trace_id = reg.begin_trace();
+        let outer = reg.span("optft");
+        let fork = reg.fork();
+        let lane = std::thread::spawn(move || {
+            let lane = fork.registry();
+            lane.span("full").finish();
+            lane.add("lane.runs", 1);
+            lane.frame()
+        })
+        .join()
+        .unwrap();
+        outer.finish();
+        reg.absorb(&lane);
+
+        let spans = reg.spans();
+        assert_eq!(spans.keys().collect::<Vec<_>>(), ["optft", "optft/full"]);
+        assert_eq!(
+            spans["optft"].count, 1,
+            "the forked span is not re-recorded"
+        );
+        assert_eq!(reg.counter_value("lane.runs"), 1);
+        let events = log.events();
+        let lane_events: Vec<_> = events.iter().filter(|e| e.name == "optft/full").collect();
+        assert_eq!(lane_events.len(), 2);
+        assert!(lane_events.iter().all(|e| e.trace_id == trace_id));
+        assert!(lane_events.iter().all(|e| e.parent == 0));
+        assert_ne!(lane_events[0].tid, events[0].tid, "a track of its own");
     }
 
     #[test]

@@ -11,6 +11,9 @@
 //! - [`Pool::par_map`]: an order-preserving parallel map over a slice,
 //!   scheduled as contiguous chunks (no work stealing — static chunking
 //!   keeps the execution shape reproducible and the scheduler trivial),
+//! - [`Pool::run_lanes`]: a fixed lane schedule for heterogeneous tasks —
+//!   each task names a lane, lane `k` runs on pool thread `k mod width`
+//!   (the caller is thread 0), and results come back in task order,
 //! - [`thread_count`]: the pool sizing rule, `OHA_THREADS` environment
 //!   override first, [`std::thread::available_parallelism`] otherwise,
 //! - [`TaskPool`]: persistent workers over a shared FIFO queue, for
@@ -183,6 +186,78 @@ impl Pool {
         })
     }
 
+    /// The pool thread lane `lane` runs on in [`run_lanes`](Pool::run_lanes):
+    /// `lane mod width`, thread 0 being the calling thread.
+    pub fn lane_thread(&self, lane: usize) -> usize {
+        lane % self.threads
+    }
+
+    /// Runs tasks on a fixed lane schedule: task `i` belongs to lane
+    /// `lanes[i]`, and lane `k` runs on pool thread
+    /// [`lane_thread(k)`](Pool::lane_thread). The rule does not depend on
+    /// the width beyond that modulus, so tasks that share a lane always
+    /// share a thread and run one after another, in index order.
+    ///
+    /// `caller` runs thread 0's tasks on the calling thread (so it may hold
+    /// thread-bound state); `worker(t, tasks)` runs the tasks of every other
+    /// thread `t` that has any, on a scoped thread. Each gets its task
+    /// indices in ascending order and returns one result per index, in the
+    /// same order; a worker also returns one value of its own. The call
+    /// returns every task's result in index order and the workers' values
+    /// in thread order. At width 1 it is `caller(0..n)` on the calling
+    /// thread and spawns nothing. A panic on any thread reaches the caller.
+    pub fn run_lanes<R, X, A, W>(&self, lanes: &[usize], caller: A, worker: W) -> (Vec<R>, Vec<X>)
+    where
+        R: Send,
+        X: Send,
+        A: FnOnce(&[usize]) -> Vec<R>,
+        W: Fn(usize, &[usize]) -> (Vec<R>, X) + Sync,
+    {
+        let mut shares: Vec<Vec<usize>> = vec![Vec::new(); self.threads];
+        for (i, &lane) in lanes.iter().enumerate() {
+            shares[self.lane_thread(lane)].push(i);
+        }
+        if shares[1..].iter().all(Vec::is_empty) {
+            let results = caller(&shares[0]);
+            assert_eq!(results.len(), lanes.len(), "one result per task");
+            return (results, Vec::new());
+        }
+        let worker = &worker;
+        let (own, others) = scope(|s| {
+            let handles: Vec<_> = shares
+                .iter()
+                .enumerate()
+                .skip(1)
+                .filter(|(_, share)| !share.is_empty())
+                .map(|(t, share)| (share, s.spawn(move || worker(t, share))))
+                .collect();
+            let own = caller(&shares[0]);
+            let others: Vec<_> = handles
+                .into_iter()
+                .map(|(share, h)| (share, h.join()))
+                .collect();
+            (own, others)
+        });
+        let mut slots: Vec<Option<R>> = std::iter::repeat_with(|| None).take(lanes.len()).collect();
+        let mut place = |share: &[usize], results: Vec<R>| {
+            assert_eq!(results.len(), share.len(), "one result per task");
+            for (&i, r) in share.iter().zip(results) {
+                slots[i] = Some(r);
+            }
+        };
+        place(&shares[0], own);
+        let mut extras = Vec::with_capacity(others.len());
+        for (share, (results, extra)) in others {
+            place(share, results);
+            extras.push(extra);
+        }
+        let results = slots
+            .into_iter()
+            .map(|r| r.expect("every task ran"))
+            .collect();
+        (results, extras)
+    }
+
     /// [`par_map`](Pool::par_map) with the item index passed to `f`
     /// (useful when workers need a per-item seed or label).
     pub fn par_map_indexed<T, R, F>(&self, items: &[T], f: F) -> Vec<R>
@@ -297,6 +372,49 @@ mod tests {
             let msg = err.downcast_ref::<&str>().copied().unwrap_or_default();
             assert!(msg.contains("right side"), "unexpected payload: {msg}");
         }
+    }
+
+    #[test]
+    fn run_lanes_pins_lanes_to_threads_and_returns_task_order() {
+        // Task i is on lane i % 4; lane 0 must always be the caller.
+        let lanes: Vec<usize> = (0..12).map(|i| i % 4).collect();
+        let caller_thread = std::thread::current().id();
+        for threads in [1, 2, 3, 8] {
+            let pool = Pool::new(threads);
+            let (results, extras) = pool.run_lanes(
+                &lanes,
+                |share| {
+                    assert_eq!(std::thread::current().id(), caller_thread);
+                    share.iter().map(|&i| (i, 0)).collect()
+                },
+                |t, share| {
+                    assert_ne!(std::thread::current().id(), caller_thread);
+                    assert!(share.windows(2).all(|w| w[0] < w[1]), "ascending");
+                    (share.iter().map(|&i| (i, t)).collect(), t)
+                },
+            );
+            let order: Vec<usize> = results.iter().map(|&(i, _)| i).collect();
+            assert_eq!(order, (0..12).collect::<Vec<_>>(), "width {threads}");
+            for (i, &(_, t)) in results.iter().enumerate() {
+                assert_eq!(t, pool.lane_thread(lanes[i]), "task {i} at width {threads}");
+            }
+            let busy = (1..threads.min(4)).collect::<Vec<_>>();
+            assert_eq!(extras, busy, "one extra per busy worker, in thread order");
+        }
+    }
+
+    #[test]
+    fn run_lanes_propagates_worker_panics() {
+        let err = catch_unwind(AssertUnwindSafe(|| {
+            Pool::new(2).run_lanes(
+                &[0, 1],
+                |share| share.to_vec(),
+                |_, _| -> (Vec<usize>, ()) { panic!("lane down") },
+            )
+        }))
+        .expect_err("worker panic must reach the caller");
+        let msg = err.downcast_ref::<&str>().copied().unwrap_or_default();
+        assert!(msg.contains("lane down"), "unexpected payload: {msg}");
     }
 
     #[test]

@@ -28,12 +28,16 @@
 //! on another, all under one trace ID that is echoed to the client.
 //!
 //! Shutdown is a graceful drain: the `shutdown` op stops the accept
-//! loop (a self-connection wakes it), in-flight requests finish, then
-//! both pools join their workers and the Chrome trace JSON (if
-//! [`ServerConfig::trace_out`] is set) is written.
+//! loop (a self-connection wakes it) and closes the read side of every
+//! connection parked between frames, so an idle client cannot hold the
+//! drain until its I/O timeout. In-flight requests finish and are
+//! answered, then both pools join their workers and the Chrome trace JSON
+//! (if [`ServerConfig::trace_out`] is set) is written.
 
+use std::collections::HashMap;
 use std::fmt::Write as _;
-use std::io::{self, BufReader, BufWriter, Write as _};
+use std::io::{self, BufRead as _, BufReader, BufWriter, Write as _};
+use std::net::Shutdown;
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -163,12 +167,15 @@ struct Shared {
     faults: FaultPlan,
     worker_id: Option<u64>,
     /// Worker threads each request's pipeline may use for its own
-    /// parallel phases (profiling fan-out, sharded static solve). Capped
-    /// at `host threads / compute workers` so concurrent requests never
-    /// oversubscribe the host; results are width-invariant, so the cap
-    /// only affects latency.
+    /// parallel phases (profiling fan-out, static sides, dynamic-phase
+    /// lanes). Capped at `host threads / compute workers` so concurrent
+    /// requests never oversubscribe the host; results are width-invariant,
+    /// so the cap only affects latency.
     pipeline_threads: usize,
     shutting: AtomicBool,
+    /// Every open connection's stream, flagged while its handler waits
+    /// for the next frame: the drain wakes exactly those handlers.
+    connections: Mutex<Connections>,
     socket: PathBuf,
     trace: TraceLog,
     requests: AtomicU64,
@@ -183,6 +190,26 @@ struct Shared {
     /// at the same site as the `requests` counter so the histogram's
     /// count always equals it.
     request_latency: Mutex<Histogram>,
+}
+
+/// Open connections by ID: a clone of each stream (to close its read
+/// side) and whether its handler is idle between frames.
+#[derive(Default)]
+struct Connections {
+    next_id: u64,
+    open: HashMap<u64, (UnixStream, bool)>,
+}
+
+/// A connection's entry in [`Shared::connections`], removed on drop.
+struct Registered<'a> {
+    shared: &'a Shared,
+    id: u64,
+}
+
+impl Drop for Registered<'_> {
+    fn drop(&mut self) {
+        self.shared.connections().open.remove(&self.id);
+    }
 }
 
 /// Decrements an atomic gauge on drop, so early returns cannot leak an
@@ -203,6 +230,50 @@ impl Drop for GaugeGuard<'_> {
 }
 
 impl Shared {
+    fn connections(&self) -> std::sync::MutexGuard<'_, Connections> {
+        // Plain bookkeeping: a panicking handler cannot leave it torn.
+        self.connections
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner)
+    }
+
+    /// Registers an open connection (`None` if its stream cannot be
+    /// cloned).
+    fn register(&self, stream: &UnixStream) -> Option<Registered<'_>> {
+        let clone = stream.try_clone().ok()?;
+        let mut connections = self.connections();
+        let id = connections.next_id;
+        connections.next_id += 1;
+        connections.open.insert(id, (clone, false));
+        Some(Registered { shared: self, id })
+    }
+
+    /// Marks a connection idle (waiting for its next frame) or busy. A
+    /// connection that turns idle after the drain began closes its own
+    /// read side: frames the client already sent are still read, and then
+    /// the read sees end of stream instead of waiting for more.
+    fn set_idle(&self, conn: &Registered<'_>, idle: bool) {
+        let mut connections = self.connections();
+        if let Some((stream, flag)) = connections.open.get_mut(&conn.id) {
+            *flag = idle;
+            if idle && self.shutting.load(Ordering::SeqCst) {
+                let _ = stream.shutdown(Shutdown::Read);
+            }
+        }
+    }
+
+    /// Starts the drain: stops accepting keepalive frames and wakes every
+    /// handler idle between frames by closing its read side. Handlers
+    /// with a request in flight are left to answer it.
+    fn begin_drain(&self) {
+        self.shutting.store(true, Ordering::SeqCst);
+        for (stream, idle) in self.connections().open.values() {
+            if *idle {
+                let _ = stream.shutdown(Shutdown::Read);
+            }
+        }
+    }
+
     fn stats(&self) -> ServeStats {
         ServeStats {
             requests: self.requests.load(Ordering::Relaxed),
@@ -517,6 +588,7 @@ impl Server {
             worker_id: config.worker_id,
             pipeline_threads: (oha_par::thread_count() / threads).max(1),
             shutting: AtomicBool::new(false),
+            connections: Mutex::default(),
             socket: config.socket.clone(),
             trace,
             requests: AtomicU64::new(0),
@@ -601,12 +673,23 @@ fn handle_connection(stream: UnixStream, shared: &Arc<Shared>) {
     // timeout.)
     let _ = stream.set_read_timeout(Some(shared.io_timeout));
     let _ = stream.set_write_timeout(Some(shared.io_timeout));
+    let Some(registered) = shared.register(&stream) else {
+        return;
+    };
     let mut reader = BufReader::new(match stream.try_clone() {
         Ok(s) => s,
         Err(_) => return,
     });
     let mut writer = BufWriter::new(stream);
     loop {
+        // Idle until the next frame's first byte: the only state in which
+        // a drain may close the read side under us.
+        shared.set_idle(&registered, true);
+        let ready = reader.fill_buf().map(|buf| !buf.is_empty());
+        shared.set_idle(&registered, false);
+        if !matches!(ready, Ok(true)) {
+            return;
+        }
         if shared.faults.should_inject(sites::SERVE_READ_STALL) {
             std::thread::sleep(shared.faults.delay());
         }
@@ -665,7 +748,7 @@ fn dispatch(request: Request, shared: &Arc<Shared>) -> Response {
             MetricsFormat::Prometheus => shared.metrics_prometheus(),
         }),
         Request::Shutdown => {
-            shared.shutting.store(true, Ordering::SeqCst);
+            shared.begin_drain();
             // The accept loop is blocked in `accept`; a throwaway
             // connection wakes it so it can observe the flag.
             let _ = UnixStream::connect(&shared.socket);

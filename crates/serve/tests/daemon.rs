@@ -494,6 +494,77 @@ fn client_read_deadline_unwedges_a_half_open_daemon() {
     let _ = fs::remove_dir_all(&dir);
 }
 
+/// A client that stays connected and idle through `shutdown` must not
+/// hold the drain until its I/O timeout, and a request already in flight
+/// when the drain starts must still be answered.
+#[test]
+fn an_idle_client_does_not_stall_the_drain_and_in_flight_requests_are_answered() {
+    use std::time::{Duration, Instant};
+
+    let dir = tmp_dir("idle-drain");
+    let socket = dir.join("daemon.sock");
+    let server = Server::bind(ServerConfig {
+        socket: socket.clone(),
+        store_dir: None,
+        // Every analysis is slowed so it is still computing when the
+        // drain starts; a stalled drain would wait the I/O timeout out.
+        faults: oha_faults::FaultPlan::parse("delay_ms=1500; serve.compute.delay=%1").unwrap(),
+        io_timeout: Some(Duration::from_secs(60)),
+        ..ServerConfig::default()
+    })
+    .unwrap();
+    let server_thread = thread::spawn(move || server.run().unwrap());
+
+    // Connected, served once, then idle between frames.
+    let mut idle = Client::connect(&socket).unwrap();
+    assert!(idle.stats().unwrap().ok);
+
+    let program = locked_counter();
+    let text = print_program(&program);
+    let (profiling, testing) = corpora();
+    let expected =
+        optft_canonical_json(&Pipeline::new(program.clone()).run_optft(&profiling, &testing));
+    let in_flight = {
+        let (socket, text) = (socket.clone(), text.clone());
+        let (profiling, testing) = (profiling.clone(), testing.clone());
+        thread::spawn(move || {
+            // Inline, so the request is one exchange: a storeless daemon
+            // would answer a by-reference frame with need-corpus, and the
+            // resend would meet a closed socket.
+            let request = Request::Analyze {
+                tool: Tool::OptFt,
+                program: text,
+                profiling,
+                testing,
+                endpoints: Vec::new(),
+                trace_id: 0,
+            };
+            Client::connect(&socket)
+                .unwrap()
+                .call_encoded(&request.encode())
+                .unwrap()
+        })
+    };
+    // Let the analyze frame reach its handler before the drain starts.
+    thread::sleep(Duration::from_millis(300));
+
+    let started = Instant::now();
+    let mut admin = Client::connect(&socket).unwrap();
+    assert!(admin.shutdown().unwrap().ok);
+    let drained = server_thread.join().unwrap();
+    assert!(
+        started.elapsed() < Duration::from_secs(10),
+        "the drain waited on the idle client: {:?}",
+        started.elapsed()
+    );
+    let response = in_flight.join().unwrap();
+    assert!(response.ok, "in-flight request failed: {}", response.body);
+    assert_eq!(response.body, expected);
+    assert!(drained.requests >= 3);
+    drop(idle);
+    let _ = fs::remove_dir_all(&dir);
+}
+
 /// At the queue bound the daemon sheds load with a typed `Busy` response
 /// instead of queueing without limit; a non-retrying client sees the
 /// flag, and the drain counts the rejections.
@@ -827,35 +898,11 @@ fn a_mismatched_inline_fingerprint_is_a_bad_request_and_saves_nothing() {
     let _ = fs::remove_dir_all(&dir);
 }
 
-/// Input `1` takes a cold path that writes the shared global unlocked;
-/// profiling only ever sees `0`, so a testing input `1` mis-speculates.
+/// The program of [`oha_workloads::micro::cold_path_race`]: input `1`
+/// takes a cold path that writes the shared global unlocked, so after
+/// profiling only `0` it mis-speculates.
 fn cold_path_racer() -> Program {
-    let mut pb = ProgramBuilder::new();
-    let g = pb.global("shared", 1);
-    let w = pb.declare("worker", 1);
-    let mut m = pb.function("main", 0);
-    let sel = m.input();
-    let cold = m.block();
-    let hot = m.block();
-    m.branch(R(sel), cold, hot);
-    m.select(cold);
-    let ga = m.addr_global(g);
-    let t1 = m.spawn(w, Const(5));
-    m.store(R(ga), 0, Const(-1));
-    m.join(R(t1));
-    m.ret(None);
-    m.select(hot);
-    let t1 = m.spawn(w, Const(5));
-    m.join(R(t1));
-    m.ret(None);
-    let main = pb.finish_function(m);
-    let mut wf = pb.function("worker", 1);
-    let ga = wf.addr_global(g);
-    let v = wf.load(R(ga), 0);
-    wf.store(R(ga), 0, R(v));
-    wf.ret(None);
-    pb.finish_function(wf);
-    pb.finish(main).unwrap()
+    oha_workloads::micro::cold_path_race().program
 }
 
 /// A warm request that rolls back invalidates its static artifact, so

@@ -30,6 +30,9 @@
 //!
 //! Every workload carries matched profiling/testing corpora drawn from the
 //! same input distribution (fresh seeds), the way §6.1 builds its corpora.
+//!
+//! [`micro`] holds hand-built programs that pin one behaviour for tests,
+//! such as an OptFT mis-speculation.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -37,6 +40,7 @@
 mod c_suite_impl;
 mod common;
 mod java_suite_impl;
+pub mod micro;
 
 pub use common::{Workload, WorkloadParams};
 

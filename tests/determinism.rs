@@ -1,11 +1,14 @@
-//! Serial vs parallel determinism: the profiling phase fans out over the
-//! `oha-par` pool, and the contract is that thread count is unobservable
-//! in every result — same seeds in, byte-identical `InvariantSet`s and
-//! counter-identical reports out, whether `OHA_THREADS=1` or N. Only
-//! wall-clock span timings may differ.
+//! Serial vs parallel determinism: the profiling, static and dynamic
+//! phases fan out over the `oha-par` pool, and the contract is that
+//! thread count is unobservable in every result — same seeds in,
+//! byte-identical `InvariantSet`s and counter-identical reports out,
+//! whether `OHA_THREADS=1` or N. Only wall-clock span timings may differ.
+
+use std::collections::BTreeMap;
 
 use oha::core::{Pipeline, PipelineConfig};
-use oha::workloads::{c_suite, java_suite, Workload, WorkloadParams};
+use oha::obs::RunReport;
+use oha::workloads::{c_suite, java_suite, micro, Workload, WorkloadParams};
 
 fn with_threads(threads: usize) -> PipelineConfig {
     PipelineConfig {
@@ -175,6 +178,77 @@ fn optslice_reports_are_thread_count_invariant() {
         w.name
     );
     assert_eq!(serial.report.series, parallel.report.series, "{}", w.name);
+}
+
+/// Entry counts of the dynamic phase's per-configuration spans
+/// (`<tool>/dynamic/<config>`).
+fn dynamic_span_counts(report: &RunReport) -> BTreeMap<String, u64> {
+    report
+        .spans
+        .iter()
+        .filter(|(path, _)| path.contains("/dynamic/"))
+        .map(|(path, s)| (path.clone(), s.count))
+        .collect()
+}
+
+/// Everything deterministic in a report — counters (the speculative
+/// `*.spec.hook.*` dispatch counts and `*.rollback.cause.*` included),
+/// series, metadata and the dynamic span counts — must not move with the
+/// width, on runs that roll back.
+fn assert_width_invariant(name: &str, run: impl Fn(usize) -> RunReport, cause_prefix: &str) {
+    let base = run(1);
+    assert!(
+        base.counters
+            .iter()
+            .any(|(k, &v)| k.starts_with(cause_prefix) && v > 0),
+        "{name}: the sweep must cover a rollback"
+    );
+    assert!(
+        !dynamic_span_counts(&base).is_empty(),
+        "{name}: no dynamic spans"
+    );
+    for threads in [2, 3, 8] {
+        let report = run(threads);
+        assert_eq!(
+            report.counters, base.counters,
+            "{name}: {threads} threads changed the report counters"
+        );
+        assert_eq!(report.series, base.series, "{name}: {threads} threads");
+        assert_eq!(report.meta, base.meta, "{name}: {threads} threads");
+        assert_eq!(
+            dynamic_span_counts(&report),
+            dynamic_span_counts(&base),
+            "{name}: {threads} threads changed the dynamic span counts"
+        );
+    }
+}
+
+#[test]
+fn dynamic_phase_reports_are_thread_count_invariant_on_runs_that_roll_back() {
+    let w = micro::cold_path_race();
+    assert_width_invariant(
+        w.name,
+        |threads| {
+            Pipeline::new(w.program.clone())
+                .with_config(with_threads(threads))
+                .run_optft(&w.profiling_inputs, &w.testing_inputs)
+                .report
+        },
+        "optft.rollback.cause.",
+    );
+    let params = WorkloadParams::small();
+    for w in [c_suite::go(&params), c_suite::vim(&params)] {
+        assert_width_invariant(
+            w.name,
+            |threads| {
+                Pipeline::new(w.program.clone())
+                    .with_config(with_threads(threads))
+                    .run_optslice(&w.profiling_inputs, &w.testing_inputs, &w.endpoints)
+                    .report
+            },
+            "optslice.rollback.cause.",
+        );
+    }
 }
 
 /// The cross-mode contract of the store/serve subsystem: the canonical

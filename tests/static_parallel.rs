@@ -1,13 +1,14 @@
-//! The parallel static phase must be unobservable in results: with the
-//! sharded Andersen solver, the concurrent sound/pred analysis DAG, the
-//! per-function constraint fan-out and the parallel reaching-defs all
-//! active, the canonical OptFT and OptSlice JSON is *byte-identical*
-//! whether the pipeline runs on 1, 2, 4 or 8 threads. A companion test
-//! asserts the pool-sharing contract: one `oha_par::Pool` is built per
-//! pipeline and every phase borrows that same pool.
+//! The parallel static and dynamic phases must be unobservable in
+//! results: with the sharded Andersen solver, the concurrent sound/pred
+//! analysis DAG, the per-function constraint fan-out, the parallel
+//! reaching-defs and the dynamic phase's lanes all active, the canonical
+//! OptFT and OptSlice JSON is *byte-identical* whether the pipeline runs
+//! on 1, 2, 3, 4 or 8 threads — including runs that roll back. A
+//! companion test asserts the pool-sharing contract: one `oha_par::Pool`
+//! is built per pipeline and every phase borrows that same pool.
 
 use oha::core::{optft_canonical_json, optslice_canonical_json, Pipeline, PipelineConfig};
-use oha::workloads::{c_suite, java_suite, Workload, WorkloadParams};
+use oha::workloads::{c_suite, java_suite, micro, Workload, WorkloadParams};
 
 fn with_threads(threads: usize) -> PipelineConfig {
     PipelineConfig {
@@ -72,9 +73,60 @@ fn optslice_canonical_json_is_byte_identical_across_thread_widths() {
     }
 }
 
-/// The profiling phase and both static phases must share the pipeline's
-/// one pool: `pipeline.pool.built` never moves after construction, while
-/// `pipeline.pool.reuse` counts every phase that borrowed it.
+/// Rollbacks run inside the speculative task and replay its schedule, so
+/// the width sweep must cover runs that roll back: the OptFT micro
+/// program mis-speculates on one of its two testing inputs, and at
+/// unit-test scale OptSlice rolls back on 2 of go's 6 inputs and on all
+/// 6 of vim's.
+#[test]
+fn canonical_json_of_runs_that_roll_back_is_byte_identical_across_thread_widths() {
+    let run_optft = |w: &Workload, threads: usize| {
+        Pipeline::new(w.program.clone())
+            .with_config(with_threads(threads))
+            .run_optft(&w.profiling_inputs, &w.testing_inputs)
+    };
+    let w = micro::cold_path_race();
+    let base = run_optft(&w, 1);
+    let rollbacks = base.runs.iter().filter(|r| r.rolled_back).count();
+    assert_eq!(rollbacks, 1, "{}: one testing input mis-speculates", w.name);
+    for threads in [2, 3, 8] {
+        assert_eq!(
+            optft_canonical_json(&run_optft(&w, threads)),
+            optft_canonical_json(&base),
+            "{}: {threads} threads changed the OptFT canonical output",
+            w.name
+        );
+    }
+
+    let params = WorkloadParams::small();
+    for (w, expected) in [(c_suite::go(&params), 2), (c_suite::vim(&params), 6)] {
+        let run = |threads: usize| {
+            Pipeline::new(w.program.clone())
+                .with_config(with_threads(threads))
+                .run_optslice(&w.profiling_inputs, &w.testing_inputs, &w.endpoints)
+        };
+        let base = run(1);
+        let rollbacks = base.runs.iter().filter(|r| r.rolled_back).count();
+        assert_eq!(
+            rollbacks, expected,
+            "{}: rollbacks at unit-test scale",
+            w.name
+        );
+        for threads in [2, 3, 8] {
+            assert_eq!(
+                optslice_canonical_json(&run(threads)),
+                optslice_canonical_json(&base),
+                "{}: {threads} threads changed the OptSlice canonical output",
+                w.name
+            );
+        }
+    }
+}
+
+/// The profiling phase, both static phases and the dynamic phase must
+/// share the pipeline's one pool: `pipeline.pool.built` never moves after
+/// construction, while `pipeline.pool.reuse` counts every phase that
+/// borrowed it.
 #[test]
 fn profiling_and_static_phases_share_one_pool() {
     let params = WorkloadParams::small();
@@ -92,8 +144,8 @@ fn profiling_and_static_phases_share_one_pool() {
         "a phase constructed its own pool instead of borrowing the pipeline's"
     );
     assert!(
-        pipeline.metrics().counter_value("pipeline.pool.reuse") >= 2,
-        "profiling and the static phase should each borrow the shared pool"
+        pipeline.metrics().counter_value("pipeline.pool.reuse") >= 3,
+        "profiling, the static phase and the dynamic phase should each borrow the shared pool"
     );
 
     // Re-sizing via `with_config` is the only other legal construction
