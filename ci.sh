@@ -715,6 +715,11 @@ fi
 
 stage "cargo build --release (workspace)" cargo build --locked --release --workspace
 stage "cargo test (release)" cargo test --locked --release --workspace -q
+# The canonical golden at benchmark scale: every suite program's canonical
+# JSON and report shape under both tools, pinned in
+# tests/golden/canonical_benchmark.txt.
+stage "canonical-golden (benchmark scale)" \
+    cargo test --locked --release --test canonical_golden -- --ignored
 stage "bench-smoke (fig5 + table1, --json)" bench_smoke
 stage "static-parallel (thread-sweep byte-equality gate)" static_parallel_smoke
 stage "bench-static (probe_solver vs reference, BENCH_static.json)" bench_static

@@ -249,6 +249,68 @@ fn rollback_skips_the_save_and_invalidates_warm_entries() {
     let _ = fs::remove_dir_all(&dir);
 }
 
+/// The same bookkeeping under OptSlice. At unit-test scale some of go's
+/// testing inputs reach callees its profiling never saw, so they roll
+/// back; the others make a clean corpus with the same store key.
+#[test]
+fn optslice_rollback_skips_the_save_and_invalidates_warm_entries() {
+    let dir = tmp_root("optslice-rollback");
+    let w = oha_workloads::c_suite::go(&oha_workloads::WorkloadParams::small());
+    let run = |testing: &[Vec<i64>]| {
+        let p = pipeline(w.program.clone(), &dir);
+        let out = p.run_optslice(&w.profiling_inputs, testing, &w.endpoints);
+        assert!(out.all_slices_equal(), "rollback restores the answer");
+        (p, out)
+    };
+
+    // Cold run that rolls back: no optslice artifact is saved.
+    let (_, out1) = run(&w.testing_inputs);
+    assert!(out1.runs.iter().any(|r| r.rolled_back));
+    assert!(
+        fs::read_dir(dir.join("optslice")).unwrap().next().is_none(),
+        "mis-speculating predicate must not enter the cache"
+    );
+    let clean_testing: Vec<Vec<i64>> = w
+        .testing_inputs
+        .iter()
+        .zip(&out1.runs)
+        .filter(|(_, r)| !r.rolled_back)
+        .map(|(input, _)| input.clone())
+        .collect();
+    assert!(!clean_testing.is_empty());
+
+    // A clean corpus populates the cache...
+    let (_, out2) = run(&clean_testing);
+    assert!(out2.runs.iter().all(|r| !r.rolled_back));
+    assert_eq!(fs::read_dir(dir.join("optslice")).unwrap().count(), 1);
+
+    // ...a warm run that rolls back evicts exactly that entry...
+    let (p3, out3) = run(&w.testing_inputs);
+    assert_eq!(
+        out3.report.meta.get("static_cache").map(String::as_str),
+        Some("hit")
+    );
+    assert!(out3.runs.iter().any(|r| r.rolled_back));
+    assert_eq!(p3.store().unwrap().stats().invalidations, 1);
+    assert!(
+        fs::read_dir(dir.join("optslice")).unwrap().next().is_none(),
+        "rollback invalidates the violated key"
+    );
+
+    // ...and the next run re-analyzes from a miss.
+    let (_, out4) = run(&clean_testing);
+    assert_eq!(
+        out4.report.meta.get("static_cache").map(String::as_str),
+        Some("miss")
+    );
+    assert_eq!(
+        optslice_canonical_json(&out4),
+        optslice_canonical_json(&out2),
+        "re-analysis reproduces the clean result"
+    );
+    let _ = fs::remove_dir_all(&dir);
+}
+
 fn walk(dir: &Path) -> Vec<PathBuf> {
     let mut files = Vec::new();
     let mut stack = vec![dir.to_path_buf()];
