@@ -37,7 +37,7 @@
 
 mod breakeven;
 mod canonical;
-mod lanes;
+mod driver;
 mod optft;
 mod optslice;
 mod pipeline;
@@ -45,8 +45,8 @@ mod statespace;
 
 pub use breakeven::{break_even_seconds, CostModel};
 pub use canonical::{optft_canonical_json, optslice_canonical_json};
-pub use optft::{OptFt, OptFtOutcome, OptFtRun};
-pub use optslice::{OptSlice, OptSliceOutcome, OptSliceRun, StaticSideReport};
+pub use optft::{OptFtOutcome, OptFtRun};
+pub use optslice::{OptSliceOutcome, OptSliceRun, StaticSideReport};
 pub use pipeline::{
     corpus_content_fingerprint, Corpus, NeedCorpus, Pipeline, PipelineConfig, StoreConfig,
     STORE_DIR_ENV,

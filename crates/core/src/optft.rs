@@ -1,20 +1,24 @@
 //! OptFT: optimistic FastTrack data-race detection (paper §4).
 
 use std::collections::{BTreeSet, HashMap};
+use std::io;
 use std::time::{Duration, Instant};
 
 use oha_dataflow::BitSet;
 use oha_fasttrack::FastTrackTool;
-use oha_interp::{InstrPlan, Machine, MultiTracer, NoopTracer};
-use oha_invariants::{ChecksEnabled, InvariantChecker, InvariantSet};
-use oha_ir::{InstId, InstKind, Program};
-use oha_obs::{MetricsRegistry, RunReport, SpanStat};
-use oha_pointsto::{analyze, PointsTo, PointsToConfig, Sensitivity};
+use oha_interp::{InstrPlan, Machine, PlanElisions};
+use oha_invariants::{ChecksEnabled, InvariantSet};
+use oha_ir::{Fingerprint, InstId, InstKind, Program};
+use oha_obs::{MetricsRegistry, RunReport};
+use oha_pointsto::{analyze, PointsTo};
 use oha_races::{detect, MustLocksets, StaticRaces};
-use oha_store::{ArtifactKey, ArtifactKind, OptFtArtifact};
+use oha_store::{ArtifactKey, ArtifactKind, OptFtArtifact, Store};
 
-use crate::lanes::Runner;
-use crate::pipeline::{Corpus, NeedCorpus, Pipeline, RunCorpus, PATIENCE};
+use crate::driver::{
+    overhead_ratio, record_cached_spans, Config, Measured, Optimistic, PlannedTool, Profile, Timed,
+    Variant,
+};
+use crate::pipeline::{NeedCorpus, Pipeline, RunCorpus};
 
 /// One testing-input execution of OptFT and its baselines.
 #[derive(Clone, Debug, Default)]
@@ -43,6 +47,16 @@ pub struct OptFtRun {
     pub races_opt: BTreeSet<(InstId, InstId)>,
     /// Invariant violations observed by the checker.
     pub violations: usize,
+}
+
+impl Timed for OptFtRun {
+    fn times(&self) -> (Duration, Duration, Duration) {
+        (self.hybrid, self.optimistic + self.rollback, self.baseline)
+    }
+
+    fn rolled_back(&self) -> bool {
+        self.rolled_back
+    }
 }
 
 /// The result of the whole OptFT pipeline on one benchmark.
@@ -89,408 +103,159 @@ impl OptFtOutcome {
     /// Speedup of OptFT (incl. rollbacks) over full FastTrack, measured on
     /// total analysis overhead (time above baseline) across the corpus.
     pub fn speedup_vs_full(&self) -> f64 {
-        ratio_of_sums(self.runs.iter().map(|r| {
-            (
-                sub(r.full, r.baseline),
-                sub(r.optimistic + r.rollback, r.baseline),
-            )
-        }))
+        overhead_ratio(
+            self.runs
+                .iter()
+                .map(|r| (r.full, r.optimistic + r.rollback, r.baseline)),
+        )
     }
 
     /// Speedup of OptFT over hybrid FastTrack.
     pub fn speedup_vs_hybrid(&self) -> f64 {
-        ratio_of_sums(self.runs.iter().map(|r| {
-            (
-                sub(r.hybrid, r.baseline),
-                sub(r.optimistic + r.rollback, r.baseline),
-            )
-        }))
+        crate::driver::speedup_vs_hybrid(&self.runs)
     }
 
     /// Fraction of testing runs that rolled back.
     pub fn misspeculation_rate(&self) -> f64 {
-        if self.runs.is_empty() {
-            return 0.0;
-        }
-        self.runs.iter().filter(|r| r.rolled_back).count() as f64 / self.runs.len() as f64
+        crate::driver::misspeculation_rate(&self.runs)
     }
 }
 
-fn sub(a: Duration, b: Duration) -> Duration {
-    a.checked_sub(b).unwrap_or(Duration::from_nanos(1))
-}
-
-/// Corpus-level overhead ratio: total numerator overhead over total
-/// denominator overhead (robust against near-zero per-run denominators).
-fn ratio_of_sums(pairs: impl Iterator<Item = (Duration, Duration)>) -> f64 {
-    let mut num = 0.0;
-    let mut den = 0.0;
-    for (a, b) in pairs {
-        num += a.as_secs_f64();
-        den += b.as_secs_f64();
+impl PlannedTool for FastTrackTool<'_> {
+    fn absorb_plan_elisions(&mut self, elisions: &PlanElisions) {
+        FastTrackTool::absorb_plan_elisions(self, elisions);
     }
-    if den <= 0.0 {
-        1.0
-    } else {
-        num / den
+
+    fn record_metrics(&self, registry: &MetricsRegistry, prefix: &str) {
+        FastTrackTool::record_metrics(self, registry, prefix);
+    }
+
+    fn plan(&self, program: &Program) -> InstrPlan {
+        FastTrackTool::plan(self, program)
     }
 }
 
-/// Prefix of the speculative runs' hook and scheduler counters.
-const SPEC_PREFIX: &str = "optft.spec";
-
-/// The OptFT driver. Use [`Pipeline::run_optft`].
-pub struct OptFt<'a> {
-    pipeline: &'a Pipeline,
+/// OptFT as an instance of the optimistic driver. Use
+/// [`Pipeline::run_optft`].
+pub(crate) struct OptFt<'p> {
+    pub(crate) program: &'p Program,
 }
 
-/// One run configuration of OptFT's dynamic phase. Each testing input
-/// runs all of them, in this order.
-#[derive(Clone, Copy, Debug)]
-enum FtRun {
-    /// Uninstrumented.
-    Baseline,
-    /// Full FastTrack.
-    Full,
-    /// Hybrid FastTrack over the sound racy set.
-    Hybrid,
-    /// The invariant checker alone.
-    Checker,
-    /// Optimistic FastTrack plus the checker, recording the schedule, and
-    /// the rollback that replays it when the speculation fails.
-    Optimistic,
-}
-
-impl FtRun {
-    const ALL: [FtRun; 5] = [
-        FtRun::Baseline,
-        FtRun::Full,
-        FtRun::Hybrid,
-        FtRun::Checker,
-        FtRun::Optimistic,
-    ];
-
-    /// The fixed lane (see `lanes.rs`). Lane 0 holds the speculative run,
-    /// whose recorded schedule its rollback replays, and the hybrid run,
-    /// whose plan the rollback reuses — a plan is drained by one thread at
-    /// a time. Full FastTrack and the checker share lane 1; the baseline
-    /// has lane 2, so at width 2 the caller pairs it with lane 0.
-    fn lane(self) -> usize {
-        match self {
-            FtRun::Hybrid | FtRun::Optimistic => 0,
-            FtRun::Full | FtRun::Checker => 1,
-            FtRun::Baseline => 2,
-        }
-    }
-}
-
-/// What one execution of a testing input contributes to its [`OptFtRun`].
-enum FtResult {
-    Baseline(Duration),
-    Full(Duration, BTreeSet<(InstId, InstId)>),
-    Hybrid(Duration, BTreeSet<(InstId, InstId)>),
-    Checker(Duration),
-    Optimistic {
-        time: Duration,
-        rolled_back: bool,
-        rollback: Duration,
-        races: BTreeSet<(InstId, InstId)>,
-        violations: usize,
-    },
-}
-
-impl FtResult {
-    fn fill(self, run: &mut OptFtRun) {
-        match self {
-            FtResult::Baseline(time) => run.baseline = time,
-            FtResult::Full(time, races) => (run.full, run.races_full) = (time, races),
-            FtResult::Hybrid(time, races) => (run.hybrid, run.races_hybrid) = (time, races),
-            FtResult::Checker(time) => run.checker_only = time,
-            FtResult::Optimistic {
-                time,
-                rolled_back,
-                rollback,
-                races,
-                violations,
-            } => {
-                run.optimistic = time;
-                run.rolled_back = rolled_back;
-                run.rollback = rollback;
-                run.races_opt = races;
-                run.violations = violations;
-            }
-        }
-    }
-}
-
-/// Everything OptFT's dynamic phase reads, shared by every lane: the
-/// static results and the instrumentation plans, compiled once per
-/// pipeline run (they depend only on the program and the elision sets).
-struct FtDynamic<'a> {
-    program: &'a Program,
-    races_sound: &'a StaticRaces,
-    races_pred: &'a StaticRaces,
-    invariants: &'a InvariantSet,
-    full: InstrPlan,
-    hybrid: InstrPlan,
-    checker: InstrPlan,
-    /// Union of the optimistic tool's and the checker's plans (they run
-    /// composed in one `MultiTracer`).
-    optimistic: InstrPlan,
-}
-
-impl<'a> FtDynamic<'a> {
-    fn new(
-        program: &'a Program,
-        races_sound: &'a StaticRaces,
-        races_pred: &'a StaticRaces,
-        invariants: &'a InvariantSet,
-    ) -> Self {
-        let checker = InvariantChecker::plan_for(program, invariants, ChecksEnabled::for_optft());
-        let mut optimistic = FastTrackTool::plan_for(
-            program,
-            Some(races_pred.racy_sites()),
-            Some(&invariants.elidable_locks),
-        );
-        optimistic.union_with(&checker);
-        Self {
-            program,
-            races_sound,
-            races_pred,
-            invariants,
-            full: FastTrackTool::plan_for(program, None, None),
-            hybrid: FastTrackTool::plan_for(program, Some(races_sound.racy_sites()), None),
-            checker,
-            optimistic,
-        }
-    }
-
-    /// Runs `input` under one configuration on `runner`'s machines,
-    /// recording its span and counters into `runner`'s registry.
-    fn execute(&self, runner: &Runner<'_>, input: &[i64], run: FtRun) -> FtResult {
-        let (machine, registry) = (&runner.machine, &runner.registry);
-        match run {
-            FtRun::Baseline => {
-                // The baseline is uninstrumented: no plan either (a plan
-                // that elides everything would swap free no-op dispatches
-                // for elision bookkeeping).
-                let span = registry.span("baseline");
-                machine.run(input, &mut NoopTracer);
-                FtResult::Baseline(span.finish())
-            }
-            FtRun::Full => {
-                let span = registry.span("full");
-                let mut full = FastTrackTool::full();
-                machine.run_with_plan(input, &mut full, Some(&self.full));
-                let time = span.finish();
-                full.absorb_plan_elisions(&self.full.take_elisions());
-                FtResult::Full(time, full.race_pairs())
-            }
-            FtRun::Hybrid => {
-                let span = registry.span("hybrid");
-                let mut hybrid = FastTrackTool::hybrid(self.races_sound.racy_sites());
-                machine.run_with_plan(input, &mut hybrid, Some(&self.hybrid));
-                let time = span.finish();
-                hybrid.absorb_plan_elisions(&self.hybrid.take_elisions());
-                FtResult::Hybrid(time, hybrid.race_pairs())
-            }
-            FtRun::Checker => {
-                let span = registry.span("checker");
-                let mut checker = InvariantChecker::new(
-                    self.program,
-                    self.invariants,
-                    ChecksEnabled::for_optft(),
-                );
-                machine.run_with_plan(input, &mut checker, Some(&self.checker));
-                // The checker counts only the checks it performs; its plan
-                // skips exactly the hooks it ignores, so it absorbs nothing.
-                FtResult::Checker(span.finish())
-            }
-            FtRun::Optimistic => self.speculate(runner, input),
-        }
-    }
-
-    /// The speculative run: optimistic FastTrack + invariant checks, with
-    /// the schedule recorded so a mis-speculation can replay the identical
-    /// interleaving (the paper's record/replay rollback).
-    fn speculate(&self, runner: &Runner<'_>, input: &[i64]) -> FtResult {
-        let registry = &runner.registry;
-        let invariants = self.invariants;
-        let span = registry.span("optimistic");
-        let opt_tool =
-            FastTrackTool::optimistic(self.races_pred.racy_sites(), &invariants.elidable_locks);
-        let checker = InvariantChecker::new(self.program, invariants, ChecksEnabled::for_optft());
-        let mut combined = MultiTracer::new(opt_tool, checker);
-        let (_, schedule) = runner.spec_machine.run_recording_with_plan(
-            input,
-            &mut combined,
-            Some(&self.optimistic),
-        );
-        let time = span.finish();
-        // Keeps the elision identity balanced: machine-side skips are
-        // exactly the accesses/lock ops the tool would have elided.
-        combined
-            .first
-            .absorb_plan_elisions(&self.optimistic.take_elisions());
-        combined.first.record_metrics(registry, "optft.ft");
-        combined.second.record_metrics(registry, "optft.check");
-
-        let opt_races = combined.first.race_pairs();
-        let violations = combined.second.violations().count();
-        // Rollback policy: invariant violations always roll back; race
-        // reports are potential mis-speculations only when lock
-        // instrumentation was elided (§4.2.4).
-        let rolled_back = combined.second.is_violated()
-            || (!invariants.elidable_locks.is_empty() && !opt_races.is_empty());
-
-        let (races, rollback) = if rolled_back {
-            registry.add("optft.rollback", 1);
-            for v in combined.second.violations() {
-                registry.add(&format!("optft.rollback.cause.{}", v.class()), 1);
-            }
-            if violations == 0 {
-                // Race-triggered rollback with no invariant violation: a
-                // potentially-false race through an elided lock.
-                registry.add("optft.rollback.cause.race_report", 1);
-            }
-            // Roll back: replay the recorded schedule under the traditional
-            // hybrid analysis, which observes the same execution the failed
-            // speculation did.
-            let span = registry.span("rollback");
-            let mut redo = FastTrackTool::hybrid(self.races_sound.racy_sites());
-            runner
-                .machine
-                .run_replay_with_plan(input, &schedule, &mut redo, Some(&self.hybrid));
-            redo.absorb_plan_elisions(&self.hybrid.take_elisions());
-            (redo.race_pairs(), span.finish())
-        } else {
-            (opt_races, Duration::ZERO)
-        };
-        FtResult::Optimistic {
-            time,
-            rolled_back,
-            rollback,
-            races,
-            violations,
-        }
-    }
-}
-
-/// Everything OptFT's dynamic phase needs from the (cacheable) profiling
-/// and static phases, plus the bookkeeping for save-on-clean /
-/// invalidate-on-rollback.
-struct FtStatics {
-    invariants: InvariantSet,
-    profile_time: Duration,
+/// What OptFT's dynamic phase reads from its (cacheable) static phase.
+pub(crate) struct FtStatics {
     elide_time: Duration,
-    profiling_used: usize,
     sound_static_time: Duration,
     pred_static_time: Duration,
     races_sound: StaticRaces,
     races_pred: StaticRaces,
-    /// Whether the static phase was served from the artifact store.
-    from_cache: bool,
-    /// The store key (present exactly when a store is configured).
-    key: Option<ArtifactKey>,
-    /// A freshly computed artifact awaiting save — persisted only after
-    /// the dynamic phase finishes without a rollback, so a mis-speculating
-    /// predicate never enters the cache.
-    pending: Option<OptFtArtifact>,
 }
 
-impl<'a> OptFt<'a> {
-    pub(crate) fn new(pipeline: &'a Pipeline) -> Self {
-        Self { pipeline }
+impl Optimistic for OptFt<'_> {
+    const PREFIX: &'static str = "optft";
+    const TOOL: &'static str = "ft";
+    const CHECKS: ChecksEnabled = ChecksEnabled::for_optft();
+    const KIND: ArtifactKind = ArtifactKind::OptFt;
+    /// Lane 0 holds the speculative run, whose recorded schedule its
+    /// rollback replays, and the hybrid run, whose plan the rollback
+    /// reuses. Full FastTrack and the checker share lane 1; the baseline
+    /// has lane 2, so at width 2 the caller pairs it with lane 0.
+    const LANES: &'static [(Config, usize)] = &[
+        (Config::Baseline, 2),
+        (Config::Full, 1),
+        (Config::Hybrid, 0),
+        (Config::Checker, 1),
+        (Config::Speculative, 0),
+    ];
+
+    type Statics = FtStatics;
+    type Artifact = OptFtArtifact;
+    type Tool<'s>
+        = FastTrackTool<'s>
+    where
+        Self: 's;
+    type Answer = BTreeSet<(InstId, InstId)>;
+    type Run = OptFtRun;
+    type Outcome = OptFtOutcome;
+
+    /// Folds together the invariant-set fingerprint, the profiling-corpus
+    /// fingerprint (the elision validation loop re-executes the corpus)
+    /// and the static budgets, so a hit guarantees the cached races and
+    /// elidable-lock set are what this exact cold run would recompute.
+    fn predicate(
+        &self,
+        pipeline: &Pipeline,
+        invariants: &InvariantSet,
+        corpus_key: Fingerprint,
+    ) -> Fingerprint {
+        invariants
+            .fingerprint()
+            .combine(corpus_key)
+            .combine(pipeline.budget_fingerprint(false))
     }
 
-    /// Phases 1 and 2 (profiling, sound + predicated static analysis,
-    /// lock-elision validation), served from the artifact store when warm.
-    ///
-    /// The cache key's predicate side folds together the invariant-set
-    /// fingerprint, the profiling-corpus fingerprint (the elision
-    /// validation loop re-executes the corpus) and the static budgets, so
-    /// a hit guarantees the cached races and elidable-lock set are what
-    /// this exact cold run would recompute.
-    fn static_phase(
+    fn load(store: &Store, key: &ArtifactKey) -> Option<OptFtArtifact> {
+        store.load_optft(key)
+    }
+
+    fn save(store: &Store, key: &ArtifactKey, artifact: &OptFtArtifact) -> io::Result<()> {
+        store.save_optft(key, artifact)
+    }
+
+    fn warm(
         &self,
+        a: OptFtArtifact,
+        load_time: Duration,
+        registry: &MetricsRegistry,
+    ) -> (InvariantSet, FtStatics) {
+        a.pt_sound_stats.record(registry, "optft.pointsto.sound");
+        a.pt_pred.stats().record(registry, "optft.pointsto.pred");
+        record_cached_spans(
+            registry,
+            &[
+                ("cached/static_sound", a.sound_static_ns),
+                ("cached/static_pred", a.pred_static_ns),
+                ("cached/elide", a.elide_ns),
+            ],
+        );
+        let statics = FtStatics {
+            elide_time: Duration::ZERO,
+            sound_static_time: load_time,
+            pred_static_time: Duration::ZERO,
+            races_sound: a.races_sound,
+            races_pred: a.races_pred,
+        };
+        (a.invariants, statics)
+    }
+
+    /// Sound and predicated points-to and race detection, then lock-elision
+    /// validation (§4.2.4).
+    fn analyze(
+        &self,
+        pipeline: &Pipeline,
+        invariants: &mut InvariantSet,
+        profile: Profile,
         corpus: &RunCorpus<'_>,
         machine: &Machine<'_>,
-        registry: &MetricsRegistry,
-    ) -> Result<FtStatics, NeedCorpus> {
-        let program = self.pipeline.program();
-
-        // Phase 1: profile until the invariant set stabilizes (§6.1),
-        // store-accelerated when a profile artifact is warm.
-        let (mut invariants, profile_time, profiling_used) = self.pipeline.profile_phase(corpus)?;
-
-        let key = corpus.key().map(|corpus_key| {
-            let predicate = invariants
-                .fingerprint()
-                .combine(corpus_key)
-                .combine(self.pipeline.budget_fingerprint(false));
-            ArtifactKey::new(self.pipeline.program_fingerprint(), predicate)
-        });
-
-        if let (Some(store), Some(key)) = (self.pipeline.store(), &key) {
-            let start = Instant::now();
-            let loaded = store.load_optft(key);
-            let load_time = start.elapsed();
-            if let Some(a) = loaded {
-                registry.observe_duration("store.load.hit_ns", load_time);
-                registry.trace_instant("store.optft.hit");
-                let elapsed = load_time;
-                // Registry parity with the cold path: the same points-to
-                // gauges, plus the cold durations replayed under
-                // `cached/*` spans (the live spans only see the load).
-                a.pt_sound_stats.record(registry, "optft.pointsto.sound");
-                a.pt_pred.stats().record(registry, "optft.pointsto.pred");
-                for (path, ns) in [
-                    ("cached/static_sound", a.sound_static_ns),
-                    ("cached/static_pred", a.pred_static_ns),
-                    ("cached/elide", a.elide_ns),
-                ] {
-                    registry.add_span_stat(
-                        path,
-                        SpanStat {
-                            total: Duration::from_nanos(ns),
-                            count: 1,
-                        },
-                    );
-                }
-                return Ok(FtStatics {
-                    invariants: a.invariants,
-                    profile_time,
-                    elide_time: Duration::ZERO,
-                    profiling_used,
-                    sound_static_time: elapsed,
-                    pred_static_time: Duration::ZERO,
-                    races_sound: a.races_sound,
-                    races_pred: a.races_pred,
-                    from_cache: true,
-                    key: Some(*key),
-                    pending: None,
-                });
-            }
-            registry.observe_duration("store.load.miss_ns", load_time);
-            registry.trace_instant("store.optft.miss");
-        }
-
+        save: bool,
+    ) -> Result<(FtStatics, Option<OptFtArtifact>), NeedCorpus> {
+        let (program, registry) = (self.program, pipeline.metrics());
         // Phases 2a ∥ 2b: the sound and predicated static analyses are
         // independent of each other (and neither touches the registry), so
         // they run as a two-node task DAG on the pipeline's shared pool —
         // serially, in sound-then-pred order, on a one-thread pool. Each
-        // branch times itself with a plain clock; the `static_sound` span
+        // branch times itself with a plain clock. The `static_sound` span
         // wraps the whole fused section (the registry's span stack is
-        // single-threaded) and `static_pred` closes immediately after it,
-        // which keeps the span-tree shape — and any attached trace —
-        // identical at every pool width. Branch results and stats are
-        // consumed in a fixed order after the join, so the registry
-        // contents never depend on which branch finished first.
-        let pool = self.pipeline.pool();
-        let sound_cfg = self.pt_config(None);
-        let pred_cfg = self.pt_config(Some(&invariants));
+        // single-threaded) and `static_pred` closes right after it; each
+        // records its own branch's time. That keeps the span-tree shape —
+        // and any attached trace — identical at every pool width. Branch
+        // results and stats are consumed in a fixed order after the join,
+        // so the registry contents never depend on which branch finished
+        // first.
+        let config = pipeline.config();
+        let sound_cfg = config.points_to(pipeline.pool(), None);
+        let pred_cfg = config.points_to(pipeline.pool(), Some(invariants));
         let span = registry.span("static_sound");
-        let (sound_branch, pred_branch) = pool.join(
+        let (sound_branch, pred_branch) = pipeline.pool().join(
             || {
                 let start = Instant::now();
                 let pt = analyze(program, &sound_cfg)
@@ -506,12 +271,11 @@ impl<'a> OptFt<'a> {
                 (pt, races, start.elapsed())
             },
         );
-        let _ = span.finish();
         let (pt_sound, races_sound, sound_static_time) = sound_branch;
+        span.finish_as(sound_static_time);
         pt_sound.stats().record(registry, "optft.pointsto.sound");
-        let span = registry.span("static_pred");
-        let _ = span.finish();
         let (pt_pred, races_pred, pred_static_time) = pred_branch;
+        registry.span("static_pred").finish_as(pred_static_time);
         pt_pred.stats().record(registry, "optft.pointsto.pred");
 
         // No-custom-synchronization: propose elidable lock/unlock sites and
@@ -536,135 +300,98 @@ impl<'a> OptFt<'a> {
         );
         invariants.elidable_locks = elision.sites;
 
-        let pending = key.as_ref().map(|_| OptFtArtifact {
+        let artifact = save.then(|| OptFtArtifact {
             invariants: invariants.clone(),
-            profiling_runs_used: profiling_used as u64,
+            profiling_runs_used: profile.runs_used as u64,
             races_sound: races_sound.clone(),
             races_pred: races_pred.clone(),
             pt_sound_stats: pt_sound.stats(),
             pt_pred,
-            profile_ns: profile_time.as_nanos() as u64,
+            profile_ns: profile.time.as_nanos() as u64,
             sound_static_ns: sound_static_time.as_nanos() as u64,
             pred_static_ns: pred_static_time.as_nanos() as u64,
             elide_ns: elide_time.as_nanos() as u64,
         });
-
-        Ok(FtStatics {
-            invariants,
-            profile_time,
+        let statics = FtStatics {
             elide_time,
-            profiling_used,
             sound_static_time,
             pred_static_time,
             races_sound,
             races_pred,
-            from_cache: false,
-            key,
-            pending,
-        })
+        };
+        Ok((statics, artifact))
     }
 
-    pub(crate) fn run(
-        self,
-        profiling: Corpus<'_>,
-        testing: &[Vec<i64>],
-    ) -> Result<OptFtOutcome, NeedCorpus> {
-        let program = self.pipeline.program();
-        let registry = self.pipeline.metrics().clone();
-        // The speculative runs use a metrics-attached machine, so every
-        // tracer-hook dispatch the optimistic tool sees is counted under
-        // `optft.spec.hook.*` — the elision identity
-        // elided + executed == dispatched holds against those counters.
-        let runner = Runner::new(
-            Machine::new(program, self.pipeline.config().machine),
-            registry.clone(),
-            SPEC_PREFIX,
-        );
-        let pipeline_span = registry.span("optft");
+    fn static_time(statics: &FtStatics) -> Duration {
+        statics.sound_static_time + statics.pred_static_time
+    }
 
-        // Phases 1 + 2, warm or cold.
-        let corpus = self.pipeline.run_corpus(profiling, PATIENCE);
-        let statics = self.static_phase(&corpus, &runner.machine, &registry)?;
-        let FtStatics {
-            invariants,
-            profile_time,
-            elide_time,
-            profiling_used,
-            sound_static_time,
-            pred_static_time,
-            races_sound,
-            races_pred,
-            from_cache,
-            key,
-            pending,
-        } = statics;
-
-        registry.observe_duration("optft.phase.profile_ns", profile_time);
-        registry.observe_duration(
-            "optft.phase.static_ns",
-            sound_static_time + pred_static_time,
-        );
-
-        // Phase 3: speculative dynamic analysis over the testing corpus,
-        // one task per (input, configuration) on the pool's fixed lanes.
-        let dynamic = FtDynamic::new(program, &races_sound, &races_pred, &invariants);
-        let dynamic_span = registry.span("dynamic");
-        let tasks: Vec<(&[i64], FtRun)> = testing
-            .iter()
-            .flat_map(|input| FtRun::ALL.map(|run| (input.as_slice(), run)))
-            .collect();
-        let mut results = runner
-            .run_all(
-                self.pipeline.pool(),
-                &tasks,
-                |&(_, run)| run.lane(),
-                |runner, &(input, run)| dynamic.execute(runner, input, run),
-            )
-            .into_iter();
-        let mut runs = Vec::with_capacity(testing.len());
-        let mut baseline_races = BTreeSet::new();
-        let mut optimistic_races = BTreeSet::new();
-        for _ in testing {
-            let mut run = OptFtRun::default();
-            for result in results.by_ref().take(FtRun::ALL.len()) {
-                result.fill(&mut run);
-            }
-            registry.observe_duration("optft.run.baseline_ns", run.baseline);
-            registry.observe_duration("optft.run.optimistic_ns", run.optimistic + run.rollback);
-            baseline_races.extend(run.races_full.iter().copied());
-            optimistic_races.extend(run.races_opt.iter().copied());
-            runs.push(run);
+    fn tool<'s>(
+        &'s self,
+        statics: &'s FtStatics,
+        invariants: &'s InvariantSet,
+        variant: Variant,
+    ) -> FastTrackTool<'s> {
+        match variant {
+            Variant::Full => FastTrackTool::full(),
+            Variant::Hybrid => FastTrackTool::hybrid(statics.races_sound.racy_sites()),
+            Variant::Optimistic => FastTrackTool::optimistic(
+                statics.races_pred.racy_sites(),
+                &invariants.elidable_locks,
+            ),
         }
-        registry.observe_duration("optft.phase.dynamic_ns", dynamic_span.finish());
-        pipeline_span.finish();
+    }
 
-        // Store bookkeeping. A clean cold run persists its artifact; a
-        // rollback means the predicate mis-speculated on this corpus, so a
-        // cold result is not saved and a warm entry is invalidated (the
-        // next run re-analyzes against fresher invariants).
-        if let (Some(store), Some(key)) = (self.pipeline.store(), &key) {
-            let any_rollback = runs.iter().any(|r| r.rolled_back);
-            if any_rollback {
-                if from_cache {
-                    store.invalidate(ArtifactKind::OptFt, key);
-                }
-            } else if let Some(artifact) = &pending {
-                if store.save_optft(key, artifact).is_err() {
-                    registry.add("store.save_errors", 1);
-                }
-            }
-            store.stats().record(&registry, "store");
+    fn answer(&self, tool: &FastTrackTool<'_>) -> BTreeSet<(InstId, InstId)> {
+        tool.race_pairs()
+    }
+
+    /// A race report is a potential mis-speculation when lock
+    /// instrumentation was elided (§4.2.4): it may be a false race through
+    /// an elided lock.
+    fn rollback_cause(
+        &self,
+        tool: &FastTrackTool<'_>,
+        invariants: &InvariantSet,
+    ) -> Option<&'static str> {
+        (!invariants.elidable_locks.is_empty() && !tool.races().is_empty()).then_some("race_report")
+    }
+
+    fn run(m: Measured<BTreeSet<(InstId, InstId)>>) -> OptFtRun {
+        OptFtRun {
+            baseline: m.baseline,
+            full: m.full,
+            hybrid: m.hybrid,
+            optimistic: m.optimistic,
+            checker_only: m.checker,
+            rolled_back: m.rolled_back,
+            rollback: m.rollback,
+            races_full: m.full_answer,
+            races_hybrid: m.hybrid_answer,
+            races_opt: m.answer,
+            violations: m.violations,
         }
+    }
 
-        let mut outcome = OptFtOutcome {
-            profiling_runs_used: profiling_used,
-            profile_time,
-            elide_time,
-            sound_static_time,
-            pred_static_time,
-            racy_sites_sound: races_sound.stats().racy_accesses,
-            racy_sites_pred: races_pred.stats().racy_accesses,
-            statically_race_free: races_sound.stats().racy_accesses == 0,
+    fn outcome(
+        &self,
+        statics: FtStatics,
+        invariants: InvariantSet,
+        profile: Profile,
+        runs: Vec<OptFtRun>,
+        registry: &MetricsRegistry,
+    ) -> OptFtOutcome {
+        let baseline_races = runs.iter().flat_map(|r| &r.races_full).copied().collect();
+        let optimistic_races = runs.iter().flat_map(|r| &r.races_opt).copied().collect();
+        let outcome = OptFtOutcome {
+            profiling_runs_used: profile.runs_used,
+            profile_time: profile.time,
+            elide_time: statics.elide_time,
+            sound_static_time: statics.sound_static_time,
+            pred_static_time: statics.pred_static_time,
+            racy_sites_sound: statics.races_sound.stats().racy_accesses,
+            racy_sites_pred: statics.races_pred.stats().racy_accesses,
+            statically_race_free: statics.races_sound.stats().racy_accesses == 0,
             elidable_lock_sites: invariants.elidable_locks.len(),
             invariants,
             runs,
@@ -675,36 +402,11 @@ impl<'a> OptFt<'a> {
         registry.set_gauge("optft.racy_sites.sound", outcome.racy_sites_sound as f64);
         registry.set_gauge("optft.racy_sites.pred", outcome.racy_sites_pred as f64);
         registry.set_gauge("optft.speedup_vs_full", outcome.speedup_vs_full());
-        registry.set_gauge("optft.speedup_vs_hybrid", outcome.speedup_vs_hybrid());
-        registry.set_gauge("optft.misspeculation_rate", outcome.misspeculation_rate());
-        let mut report = registry.report("optft");
-        report.meta.insert("tool".into(), "optft".into());
-        report
-            .meta
-            .insert("testing_runs".into(), outcome.runs.len().to_string());
-        report
-            .meta
-            .insert("profiling_runs_used".into(), profiling_used.to_string());
-        if self.pipeline.store().is_some() {
-            report.meta.insert(
-                "static_cache".into(),
-                if from_cache { "hit" } else { "miss" }.into(),
-            );
-        }
-        outcome.report = report;
-        Ok(outcome)
+        outcome
     }
 
-    fn pt_config<'i>(&self, invariants: Option<&'i InvariantSet>) -> PointsToConfig<'i> {
-        PointsToConfig {
-            sensitivity: Sensitivity::ContextInsensitive,
-            invariants,
-            clone_budget: self.pipeline.config().ctx_budget,
-            solver_budget: self.pipeline.config().solver_budget,
-            pool: self.pipeline.pool(),
-            serial_cutoff: oha_pointsto::serial_cutoff_from_env(),
-            dense_cutoff: oha_pointsto::dense_cutoff_from_env(),
-        }
+    fn report(outcome: &mut OptFtOutcome) -> &mut RunReport {
+        &mut outcome.report
     }
 }
 
@@ -857,6 +559,7 @@ fn validate_on_corpus(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::pipeline::{Corpus, PATIENCE};
     use oha_ir::{Operand, ProgramBuilder};
     use Operand::{Const, Reg as R};
 
@@ -939,9 +642,13 @@ mod tests {
             outcome.elidable_lock_sites as u64
         );
 
-        let optft = OptFt::new(&pipeline);
-        let pt_sound = analyze(&program, &optft.pt_config(None)).unwrap();
-        let pt_pred = analyze(&program, &optft.pt_config(Some(&outcome.invariants))).unwrap();
+        let config = pipeline.config();
+        let pt_sound = analyze(&program, &config.points_to(pipeline.pool(), None)).unwrap();
+        let pt_pred = analyze(
+            &program,
+            &config.points_to(pipeline.pool(), Some(&outcome.invariants)),
+        )
+        .unwrap();
         let races_sound = detect(&program, &pt_sound, None);
         let races_pred = detect(&program, &pt_pred, Some(&outcome.invariants));
         let (proposed, racy_access) = propose_elidable_locks(&program, &pt_pred, &races_pred);

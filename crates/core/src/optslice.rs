@@ -1,18 +1,21 @@
 //! OptSlice: optimistic dynamic backward slicing (paper §5).
 
+use std::io;
 use std::time::{Duration, Instant};
 
 use oha_giri::{DynamicSlice, GiriTool};
-use oha_interp::{InstrPlan, Machine, MultiTracer, NoopTracer};
-use oha_invariants::{ChecksEnabled, InvariantChecker, InvariantSet};
-use oha_ir::{FingerprintHasher, InstId, Program};
-use oha_obs::{RunReport, SpanStat};
+use oha_interp::{InstrPlan, Machine, PlanElisions};
+use oha_invariants::{ChecksEnabled, InvariantSet};
+use oha_ir::{Fingerprint, FingerprintHasher, InstId, Program};
+use oha_obs::{MetricsRegistry, RunReport};
 use oha_pointsto::{analyze, PointsTo, PointsToConfig, Sensitivity};
 use oha_slicing::{slice, SliceConfig, StaticSlice};
-use oha_store::{ArtifactKey, ArtifactKind, OptSliceArtifact, StaticSideArtifact};
+use oha_store::{ArtifactKey, ArtifactKind, OptSliceArtifact, StaticSideArtifact, Store};
 
-use crate::lanes::Runner;
-use crate::pipeline::{Corpus, NeedCorpus, Pipeline, RunCorpus, PATIENCE};
+use crate::driver::{
+    record_cached_spans, Config, Measured, Optimistic, PlannedTool, Profile, Timed, Variant,
+};
+use crate::pipeline::{NeedCorpus, Pipeline, PipelineConfig, RunCorpus};
 
 /// One static-analysis side (sound or predicated) of Table 2.
 #[derive(Clone, Debug)]
@@ -57,6 +60,16 @@ pub struct OptSliceRun {
     pub slices_equal: bool,
 }
 
+impl Timed for OptSliceRun {
+    fn times(&self) -> (Duration, Duration, Duration) {
+        (self.hybrid, self.optimistic + self.rollback, self.baseline)
+    }
+
+    fn rolled_back(&self) -> bool {
+        self.rolled_back
+    }
+}
+
 /// The result of the whole OptSlice pipeline on one benchmark.
 #[derive(Clone, Debug)]
 pub struct OptSliceOutcome {
@@ -84,32 +97,12 @@ impl OptSliceOutcome {
     /// slicer: total analysis overhead above baseline across the corpus
     /// (robust against near-zero per-run denominators).
     pub fn speedup_vs_hybrid(&self) -> f64 {
-        let mut num = 0.0;
-        let mut den = 0.0;
-        for r in &self.runs {
-            den += (r.optimistic + r.rollback)
-                .checked_sub(r.baseline)
-                .unwrap_or(Duration::from_nanos(1))
-                .as_secs_f64();
-            num += r
-                .hybrid
-                .checked_sub(r.baseline)
-                .unwrap_or(Duration::from_nanos(1))
-                .as_secs_f64();
-        }
-        if den <= 0.0 {
-            1.0
-        } else {
-            num / den
-        }
+        crate::driver::speedup_vs_hybrid(&self.runs)
     }
 
     /// Fraction of testing runs that rolled back.
     pub fn misspeculation_rate(&self) -> f64 {
-        if self.runs.is_empty() {
-            return 0.0;
-        }
-        self.runs.iter().filter(|r| r.rolled_back).count() as f64 / self.runs.len() as f64
+        crate::driver::misspeculation_rate(&self.runs)
     }
 
     /// Whether every final optimistic slice matched the hybrid slicer's.
@@ -118,10 +111,25 @@ impl OptSliceOutcome {
     }
 }
 
-/// The OptSlice driver. Use [`Pipeline::run_optslice`].
-pub struct OptSlice<'a> {
-    pipeline: &'a Pipeline,
-    endpoints: Vec<InstId>,
+impl PlannedTool for GiriTool<'_> {
+    fn absorb_plan_elisions(&mut self, elisions: &PlanElisions) {
+        GiriTool::absorb_plan_elisions(self, elisions);
+    }
+
+    fn record_metrics(&self, registry: &MetricsRegistry, prefix: &str) {
+        GiriTool::record_metrics(self, registry, prefix);
+    }
+
+    fn plan(&self, _: &Program) -> InstrPlan {
+        GiriTool::plan(self)
+    }
+}
+
+/// OptSlice as an instance of the optimistic driver. Use
+/// [`Pipeline::run_optslice`].
+pub(crate) struct OptSlice<'p> {
+    pub(crate) program: &'p Program,
+    pub(crate) endpoints: &'p [InstId],
 }
 
 struct StaticSide {
@@ -130,205 +138,12 @@ struct StaticSide {
     pt: PointsTo,
 }
 
-/// Everything OptSlice's dynamic phase needs from the (cacheable)
-/// profiling and static phases, plus save/invalidate bookkeeping.
-struct SliceStatics {
-    invariants: InvariantSet,
-    profile_time: Duration,
-    profiling_used: usize,
+/// What OptSlice's dynamic phase reads from its (cacheable) static phase.
+pub(crate) struct SliceStatics {
     sound_report: StaticSideReport,
     pred_report: StaticSideReport,
     sound_slice: StaticSlice,
     pred_slice: StaticSlice,
-    from_cache: bool,
-    key: Option<ArtifactKey>,
-    /// Freshly computed artifact, persisted only after a rollback-free
-    /// dynamic phase.
-    pending: Option<OptSliceArtifact>,
-}
-
-/// Prefix of the speculative runs' hook and scheduler counters.
-const SPEC_PREFIX: &str = "optslice.spec";
-
-/// One run configuration of OptSlice's dynamic phase. Each testing input
-/// runs all of them, in this order.
-#[derive(Clone, Copy, Debug)]
-enum SliceRun {
-    /// Uninstrumented.
-    Baseline,
-    /// The traditional hybrid slicer over the sound static slice.
-    Hybrid,
-    /// The invariant checker alone.
-    Checker,
-    /// The optimistic slicer plus the checker, recording the schedule, and
-    /// the rollback that replays it when the speculation fails.
-    Optimistic,
-}
-
-impl SliceRun {
-    const ALL: [SliceRun; 4] = [
-        SliceRun::Baseline,
-        SliceRun::Hybrid,
-        SliceRun::Checker,
-        SliceRun::Optimistic,
-    ];
-
-    /// The fixed lane (see `lanes.rs`). The runs that hold a Giri trace —
-    /// the hybrid slicer, the speculative run and its rollback — share
-    /// lane 0, so at most one trace-sized buffer is live per request, on
-    /// the caller's thread. The baseline and the checker share lane 1.
-    fn lane(self) -> usize {
-        match self {
-            SliceRun::Hybrid | SliceRun::Optimistic => 0,
-            SliceRun::Baseline | SliceRun::Checker => 1,
-        }
-    }
-}
-
-/// What one execution of a testing input yields.
-enum SliceResult {
-    Baseline(Duration),
-    Hybrid(Duration, DynamicSlice),
-    Checker(Duration),
-    Optimistic {
-        time: Duration,
-        rolled_back: bool,
-        rollback: Duration,
-        slice: DynamicSlice,
-    },
-}
-
-/// Everything OptSlice's dynamic phase reads, shared by every lane: the
-/// static slices, the endpoints and the instrumentation plans, compiled
-/// once per pipeline run and reused for every testing input.
-struct SliceDynamic<'a> {
-    program: &'a Program,
-    endpoints: &'a [InstId],
-    invariants: &'a InvariantSet,
-    sound_slice: &'a StaticSlice,
-    pred_slice: &'a StaticSlice,
-    hybrid: InstrPlan,
-    checker: InstrPlan,
-    optimistic: InstrPlan,
-}
-
-impl<'a> SliceDynamic<'a> {
-    fn new(
-        program: &'a Program,
-        endpoints: &'a [InstId],
-        invariants: &'a InvariantSet,
-        sound_slice: &'a StaticSlice,
-        pred_slice: &'a StaticSlice,
-    ) -> Self {
-        let checker =
-            InvariantChecker::plan_for(program, invariants, ChecksEnabled::for_optslice());
-        // The speculative run multiplexes the optimistic slicer and the
-        // invariant checker over one execution: union of both plans. The
-        // slicer's elision tally stays exact because the checker never
-        // requires a traceable (load/store/compute/input/output) bit the
-        // slicer elides.
-        let mut optimistic = GiriTool::plan_for(program, Some(pred_slice.sites()));
-        optimistic.union_with(&checker);
-        Self {
-            program,
-            endpoints,
-            invariants,
-            sound_slice,
-            pred_slice,
-            hybrid: GiriTool::plan_for(program, Some(sound_slice.sites())),
-            checker,
-            optimistic,
-        }
-    }
-
-    /// Runs `input` under one configuration on `runner`'s machines,
-    /// recording its span and counters into `runner`'s registry. Each
-    /// slicer absorbs its plan's elision tally after its run, so
-    /// per-input counters stay exact.
-    fn execute(&self, runner: &Runner<'_>, input: &[i64], run: SliceRun) -> SliceResult {
-        let (program, machine, registry) = (self.program, &runner.machine, &runner.registry);
-        match run {
-            SliceRun::Baseline => {
-                // Uninstrumented: no plan either (a plan that elides
-                // everything would swap free no-op dispatches for elision
-                // bookkeeping).
-                let span = registry.span("baseline");
-                machine.run(input, &mut NoopTracer);
-                SliceResult::Baseline(span.finish())
-            }
-            SliceRun::Hybrid => {
-                let span = registry.span("hybrid");
-                let mut hybrid = GiriTool::hybrid(program, self.sound_slice.sites());
-                machine.run_with_plan(input, &mut hybrid, Some(&self.hybrid));
-                let time = span.finish();
-                hybrid.absorb_plan_elisions(&self.hybrid.take_elisions());
-                SliceResult::Hybrid(time, slice_endpoints(&hybrid, self.endpoints))
-            }
-            SliceRun::Checker => {
-                let span = registry.span("checker");
-                let mut checker =
-                    InvariantChecker::new(program, self.invariants, ChecksEnabled::for_optslice());
-                machine.run_with_plan(input, &mut checker, Some(&self.checker));
-                // The checker's stats count only the events its plan
-                // dispatches, so it absorbs nothing.
-                SliceResult::Checker(span.finish())
-            }
-            SliceRun::Optimistic => self.speculate(runner, input),
-        }
-    }
-
-    /// The speculative run, with the schedule recorded for rollback.
-    fn speculate(&self, runner: &Runner<'_>, input: &[i64]) -> SliceResult {
-        let (program, registry) = (self.program, &runner.registry);
-        let span = registry.span("optimistic");
-        let opt_tool = GiriTool::hybrid(program, self.pred_slice.sites());
-        let checker =
-            InvariantChecker::new(program, self.invariants, ChecksEnabled::for_optslice());
-        let mut combined = MultiTracer::new(opt_tool, checker);
-        let (_, schedule) = runner.spec_machine.run_recording_with_plan(
-            input,
-            &mut combined,
-            Some(&self.optimistic),
-        );
-        let time = span.finish();
-        combined
-            .first
-            .absorb_plan_elisions(&self.optimistic.take_elisions());
-        combined.first.record_metrics(registry, "optslice.giri");
-        combined.second.record_metrics(registry, "optslice.check");
-
-        let rolled_back = combined.second.is_violated();
-        let (slice, rollback) = if rolled_back {
-            registry.add("optslice.rollback", 1);
-            for v in combined.second.violations() {
-                registry.add(&format!("optslice.rollback.cause.{}", v.class()), 1);
-            }
-            // The speculative trace is done with: drop it before the
-            // replay builds the next one.
-            drop(combined);
-            // Replay the identical interleaving under the traditional
-            // hybrid slicer.
-            let span = registry.span("rollback");
-            let mut redo = GiriTool::hybrid(program, self.sound_slice.sites());
-            runner
-                .machine
-                .run_replay_with_plan(input, &schedule, &mut redo, Some(&self.hybrid));
-            let rollback = span.finish();
-            redo.absorb_plan_elisions(&self.hybrid.take_elisions());
-            (slice_endpoints(&redo, self.endpoints), rollback)
-        } else {
-            (
-                slice_endpoints(&combined.first, self.endpoints),
-                Duration::ZERO,
-            )
-        };
-        SliceResult::Optimistic {
-            time,
-            rolled_back,
-            rollback,
-            slice,
-        }
-    }
 }
 
 fn side_artifact(side: &StaticSide) -> StaticSideArtifact {
@@ -354,340 +169,236 @@ fn side_report(side: &StaticSideArtifact, live: Duration) -> StaticSideReport {
     }
 }
 
-impl<'a> OptSlice<'a> {
-    pub(crate) fn new(pipeline: &'a Pipeline, endpoints: Vec<InstId>) -> Self {
-        Self {
-            pipeline,
-            endpoints,
-        }
-    }
+/// Records one static side's spans (`static_<label>` > `pointsto`/`slice`)
+/// and stats. The side may have been computed concurrently with its
+/// sibling on another thread, where the registry's single span stack
+/// cannot time it, so each span records the time the side measured.
+fn record_side(registry: &MetricsRegistry, side: &StaticSide, label: &str) {
+    let phase_span = registry.span(&format!("static_{label}"));
+    let report = &side.report;
+    registry.span("pointsto").finish_as(report.points_to_time);
+    registry.span("slice").finish_as(report.slice_time);
+    phase_span.finish_as(report.points_to_time + report.slice_time);
+    side.pt
+        .stats()
+        .record(registry, &format!("optslice.pointsto.{label}"));
+    side.slice
+        .stats()
+        .record(registry, &format!("optslice.slice.{label}"));
+}
 
-    /// Replays one static side's span shape into the registry and records
-    /// its stats. The spans carry the tree shape (`static_<label>` >
-    /// `pointsto`/`slice`); the measured durations live in the side's
-    /// report, because the side may have been computed concurrently with
-    /// its sibling on another thread, where the registry's single span
-    /// stack cannot time it.
-    fn record_side(&self, side: &StaticSide, label: &str) {
-        let registry = self.pipeline.metrics();
-        let phase_span = registry.span(&format!("static_{label}"));
-        let _ = registry.span("pointsto").finish();
-        let _ = registry.span("slice").finish();
-        let _ = phase_span.finish();
-        side.pt
-            .stats()
-            .record(registry, &format!("optslice.pointsto.{label}"));
-        side.slice
-            .stats()
-            .record(registry, &format!("optslice.slice.{label}"));
-    }
+impl Optimistic for OptSlice<'_> {
+    const PREFIX: &'static str = "optslice";
+    const TOOL: &'static str = "giri";
+    const CHECKS: ChecksEnabled = ChecksEnabled::for_optslice();
+    const KIND: ArtifactKind = ArtifactKind::OptSlice;
+    /// The runs that hold a Giri trace — the hybrid slicer, the
+    /// speculative run and its rollback — share lane 0, so at most one
+    /// trace-sized buffer is live per request, on the caller's thread.
+    /// The baseline and the checker share lane 1.
+    const LANES: &'static [(Config, usize)] = &[
+        (Config::Baseline, 1),
+        (Config::Hybrid, 0),
+        (Config::Checker, 1),
+        (Config::Speculative, 0),
+    ];
 
-    /// Stable fingerprint of the slice endpoints (part of the cache
-    /// predicate: different endpoints yield different static slices).
-    fn endpoints_fingerprint(&self) -> oha_ir::Fingerprint {
-        let mut h = FingerprintHasher::new();
-        h.write(b"oha-endpoints-v1");
-        h.write_u64(self.endpoints.len() as u64);
-        for &e in &self.endpoints {
-            h.write_u64(u64::from(e.raw()));
-        }
-        h.finish()
-    }
+    type Statics = SliceStatics;
+    type Artifact = OptSliceArtifact;
+    type Tool<'s>
+        = GiriTool<'s>
+    where
+        Self: 's;
+    type Answer = DynamicSlice;
+    type Run = OptSliceRun;
+    type Outcome = OptSliceOutcome;
 
-    /// Phases 1 and 2 (profiling, sound + predicated points-to and
-    /// slicing), served from the artifact store when warm. The predicate
-    /// side of the key folds together the invariant-set fingerprint, the
-    /// endpoints and every static budget (including the slicer's visit
-    /// budget, which decides the CS→CI fallback).
-    fn static_phase(
+    /// Folds together the invariant-set fingerprint, the endpoints
+    /// (different endpoints yield different static slices) and every
+    /// static budget (including the slicer's visit budget, which decides
+    /// the CS→CI fallback).
+    fn predicate(
         &self,
-        corpus: &RunCorpus<'_>,
-        registry: &oha_obs::MetricsRegistry,
-    ) -> Result<SliceStatics, NeedCorpus> {
-        let program = self.pipeline.program();
-        let (invariants, profile_time, profiling_used) = self.pipeline.profile_phase(corpus)?;
-
-        let key = self.pipeline.store().map(|_| {
-            let predicate = invariants
-                .fingerprint()
-                .combine(self.endpoints_fingerprint())
-                .combine(self.pipeline.budget_fingerprint(true));
-            ArtifactKey::new(self.pipeline.program_fingerprint(), predicate)
-        });
-
-        if let (Some(store), Some(key)) = (self.pipeline.store(), &key) {
-            let start = Instant::now();
-            let loaded = store.load_optslice(key);
-            let load_time = start.elapsed();
-            if let Some(a) = loaded {
-                registry.observe_duration("store.load.hit_ns", load_time);
-                registry.trace_instant("store.optslice.hit");
-                let elapsed = load_time;
-                // Registry parity with the cold path, with the cold
-                // durations replayed under `cached/*` spans.
-                a.sound.pt_stats.record(registry, "optslice.pointsto.sound");
-                a.pred.pt_stats.record(registry, "optslice.pointsto.pred");
-                a.sound
-                    .slice
-                    .stats()
-                    .record(registry, "optslice.slice.sound");
-                a.pred.slice.stats().record(registry, "optslice.slice.pred");
-                for (path, ns) in [
-                    ("cached/static_sound/pointsto", a.sound.points_to_ns),
-                    ("cached/static_sound/slice", a.sound.slice_ns),
-                    ("cached/static_pred/pointsto", a.pred.points_to_ns),
-                    ("cached/static_pred/slice", a.pred.slice_ns),
-                ] {
-                    registry.add_span_stat(
-                        path,
-                        SpanStat {
-                            total: Duration::from_nanos(ns),
-                            count: 1,
-                        },
-                    );
-                }
-                return Ok(SliceStatics {
-                    invariants: a.invariants,
-                    profile_time,
-                    profiling_used,
-                    sound_report: side_report(&a.sound, elapsed),
-                    pred_report: side_report(&a.pred, Duration::ZERO),
-                    sound_slice: a.sound.slice,
-                    pred_slice: a.pred.slice,
-                    from_cache: true,
-                    key: Some(*key),
-                    pending: None,
-                });
-            }
-            registry.observe_duration("store.load.miss_ns", load_time);
-            registry.trace_instant("store.optslice.miss");
+        pipeline: &Pipeline,
+        invariants: &InvariantSet,
+        _corpus_key: Fingerprint,
+    ) -> Fingerprint {
+        let mut endpoints = FingerprintHasher::new();
+        endpoints.write(b"oha-endpoints-v1");
+        endpoints.write_u64(self.endpoints.len() as u64);
+        for &e in self.endpoints {
+            endpoints.write_u64(u64::from(e.raw()));
         }
+        invariants
+            .fingerprint()
+            .combine(endpoints.finish())
+            .combine(pipeline.budget_fingerprint(true))
+    }
 
+    fn load(store: &Store, key: &ArtifactKey) -> Option<OptSliceArtifact> {
+        store.load_optslice(key)
+    }
+
+    fn save(store: &Store, key: &ArtifactKey, artifact: &OptSliceArtifact) -> io::Result<()> {
+        store.save_optslice(key, artifact)
+    }
+
+    fn warm(
+        &self,
+        a: OptSliceArtifact,
+        load_time: Duration,
+        registry: &MetricsRegistry,
+    ) -> (InvariantSet, SliceStatics) {
+        a.sound.pt_stats.record(registry, "optslice.pointsto.sound");
+        a.pred.pt_stats.record(registry, "optslice.pointsto.pred");
+        a.sound
+            .slice
+            .stats()
+            .record(registry, "optslice.slice.sound");
+        a.pred.slice.stats().record(registry, "optslice.slice.pred");
+        record_cached_spans(
+            registry,
+            &[
+                ("cached/static_sound/pointsto", a.sound.points_to_ns),
+                ("cached/static_sound/slice", a.sound.slice_ns),
+                ("cached/static_pred/pointsto", a.pred.points_to_ns),
+                ("cached/static_pred/slice", a.pred.slice_ns),
+            ],
+        );
+        let statics = SliceStatics {
+            sound_report: side_report(&a.sound, load_time),
+            pred_report: side_report(&a.pred, Duration::ZERO),
+            sound_slice: a.sound.slice,
+            pred_slice: a.pred.slice,
+        };
+        (a.invariants, statics)
+    }
+
+    /// Sound and predicated points-to and slicing.
+    fn analyze(
+        &self,
+        pipeline: &Pipeline,
+        invariants: &mut InvariantSet,
+        profile: Profile,
+        _corpus: &RunCorpus<'_>,
+        _machine: &Machine<'_>,
+        save: bool,
+    ) -> Result<(SliceStatics, Option<OptSliceArtifact>), NeedCorpus> {
         // The sound and predicated static sides are independent until the
         // alias-rate fairness fixup below, so they run as a two-node task
         // DAG on the pipeline's shared pool (serially, sound first, on a
         // one-thread pool). The branches are registry-free — the
         // single-threaded metrics registry stays on this thread — and
-        // their span shapes and stats are replayed in fixed sound-then-
-        // pred order after the join, so the registry contents never
-        // depend on thread count.
-        let pool = self.pipeline.pool();
-        let serial_cutoff = oha_pointsto::serial_cutoff_from_env();
-        let dense_cutoff = oha_pointsto::dense_cutoff_from_env();
-        let cfg = self.pipeline.config();
-        let endpoints = &self.endpoints;
+        // their spans and stats are recorded in fixed sound-then-pred
+        // order after the join, so the registry contents never depend on
+        // thread count.
+        let pool = pipeline.pool();
+        let config = pipeline.config();
+        let (program, endpoints) = (self.program, self.endpoints);
         let (mut sound, pred) = pool.join(
+            || compute_side(program, endpoints, config, config.points_to(pool, None)),
             || {
                 compute_side(
                     program,
                     endpoints,
-                    cfg,
-                    pool,
-                    serial_cutoff,
-                    dense_cutoff,
-                    None,
-                )
-            },
-            || {
-                compute_side(
-                    program,
-                    endpoints,
-                    cfg,
-                    pool,
-                    serial_cutoff,
-                    dense_cutoff,
-                    Some(&invariants),
+                    config,
+                    config.points_to(pool, Some(invariants)),
                 )
             },
         );
-        self.record_side(&sound, "sound");
-        self.record_side(&pred, "pred");
+        let registry = pipeline.metrics();
+        record_side(registry, &sound, "sound");
+        record_side(registry, &pred, "pred");
         // Figure 9's fairness rule: report the sound alias rate over the
         // accesses the predicated analysis still considers.
         sound.report.alias_rate = sound.pt.alias_rate_over(&pred.pt);
 
-        let pending = if key.is_some() {
-            Some(OptSliceArtifact {
-                invariants: invariants.clone(),
-                profiling_runs_used: profiling_used as u64,
-                profile_ns: profile_time.as_nanos() as u64,
-                sound: side_artifact(&sound),
-                pred: side_artifact(&pred),
-                pt_pred: pred.pt.clone(),
-            })
-        } else {
-            None
-        };
-
-        Ok(SliceStatics {
-            invariants,
-            profile_time,
-            profiling_used,
+        let artifact = save.then(|| OptSliceArtifact {
+            invariants: invariants.clone(),
+            profiling_runs_used: profile.runs_used as u64,
+            profile_ns: profile.time.as_nanos() as u64,
+            sound: side_artifact(&sound),
+            pred: side_artifact(&pred),
+            pt_pred: pred.pt.clone(),
+        });
+        let statics = SliceStatics {
             sound_report: sound.report,
             pred_report: pred.report,
             sound_slice: sound.slice,
             pred_slice: pred.slice,
-            from_cache: false,
-            key,
-            pending,
-        })
+        };
+        Ok((statics, artifact))
     }
 
-    pub(crate) fn run(
-        self,
-        profiling: Corpus<'_>,
-        testing: &[Vec<i64>],
-    ) -> Result<OptSliceOutcome, NeedCorpus> {
-        let program = self.pipeline.program();
-        let registry = self.pipeline.metrics().clone();
-        // The speculative runs dispatch through a metrics-attached machine:
-        // `optslice.spec.hook.*` counts every event the optimistic slicer
-        // could have seen, elided or traced.
-        let runner = Runner::new(
-            Machine::new(program, self.pipeline.config().machine),
-            registry.clone(),
-            SPEC_PREFIX,
-        );
-        let pipeline_span = registry.span("optslice");
+    fn static_time(statics: &SliceStatics) -> Duration {
+        let (sound, pred) = (&statics.sound_report, &statics.pred_report);
+        sound.points_to_time + sound.slice_time + pred.points_to_time + pred.slice_time
+    }
 
-        let corpus = self.pipeline.run_corpus(profiling, PATIENCE);
-        let statics = self.static_phase(&corpus, &registry)?;
-        let SliceStatics {
-            invariants,
-            profile_time,
-            profiling_used,
-            sound_report,
-            pred_report,
-            sound_slice,
-            pred_slice,
-            from_cache,
-            key,
-            pending,
-        } = statics;
-
-        registry.observe_duration("optslice.phase.profile_ns", profile_time);
-        registry.observe_duration(
-            "optslice.phase.static_ns",
-            sound_report.points_to_time
-                + sound_report.slice_time
-                + pred_report.points_to_time
-                + pred_report.slice_time,
-        );
-
-        // One task per (input, configuration) on the pool's fixed lanes.
-        let dynamic = SliceDynamic::new(
-            program,
-            &self.endpoints,
-            &invariants,
-            &sound_slice,
-            &pred_slice,
-        );
-        let dynamic_span = registry.span("dynamic");
-        let tasks: Vec<(&[i64], SliceRun)> = testing
-            .iter()
-            .flat_map(|input| SliceRun::ALL.map(|run| (input.as_slice(), run)))
-            .collect();
-        let mut results = runner
-            .run_all(
-                self.pipeline.pool(),
-                &tasks,
-                |&(_, run)| run.lane(),
-                |runner, &(input, run)| dynamic.execute(runner, input, run),
-            )
-            .into_iter();
-        let mut runs = Vec::with_capacity(testing.len());
-        for _ in testing {
-            let mut run = OptSliceRun::default();
-            let mut hybrid_slice = DynamicSlice::default();
-            let mut opt_slice = DynamicSlice::default();
-            for result in results.by_ref().take(SliceRun::ALL.len()) {
-                match result {
-                    SliceResult::Baseline(time) => run.baseline = time,
-                    SliceResult::Hybrid(time, slice) => (run.hybrid, hybrid_slice) = (time, slice),
-                    SliceResult::Checker(time) => run.checker_only = time,
-                    SliceResult::Optimistic {
-                        time,
-                        rolled_back,
-                        rollback,
-                        slice,
-                    } => {
-                        (run.optimistic, run.rolled_back, run.rollback) =
-                            (time, rolled_back, rollback);
-                        opt_slice = slice;
-                    }
-                }
-            }
-            registry.observe_duration("optslice.run.baseline_ns", run.baseline);
-            registry.observe_duration("optslice.run.optimistic_ns", run.optimistic + run.rollback);
-            run.hybrid_slice_len = hybrid_slice.len();
-            run.opt_slice_len = opt_slice.len();
-            run.slices_equal = hybrid_slice == opt_slice;
-            runs.push(run);
+    fn tool<'s>(
+        &'s self,
+        statics: &'s SliceStatics,
+        _: &'s InvariantSet,
+        variant: Variant,
+    ) -> GiriTool<'s> {
+        let program = self.program;
+        match variant {
+            Variant::Full => GiriTool::full(program),
+            Variant::Hybrid => GiriTool::hybrid(program, statics.sound_slice.sites()),
+            Variant::Optimistic => GiriTool::hybrid(program, statics.pred_slice.sites()),
         }
-        registry.observe_duration("optslice.phase.dynamic_ns", dynamic_span.finish());
-        pipeline_span.finish();
+    }
 
-        // Store bookkeeping: save a clean cold result; a rollback means
-        // the predicate mis-speculated, so skip the save (cold) or
-        // invalidate the entry (warm).
-        if let (Some(store), Some(key)) = (self.pipeline.store(), &key) {
-            let any_rollback = runs.iter().any(|r| r.rolled_back);
-            if any_rollback {
-                if from_cache {
-                    store.invalidate(ArtifactKind::OptSlice, key);
-                }
-            } else if let Some(artifact) = &pending {
-                if store.save_optslice(key, artifact).is_err() {
-                    registry.add("store.save_errors", 1);
-                }
-            }
-            store.stats().record(&registry, "store");
+    /// The union of the tool's dynamic slices of the endpoints.
+    fn answer(&self, tool: &GiriTool<'_>) -> DynamicSlice {
+        let mut acc = DynamicSlice::default();
+        for &e in self.endpoints {
+            acc.union_with(&tool.slice_of(e));
         }
+        acc
+    }
 
-        let mut outcome = OptSliceOutcome {
+    fn run(m: Measured<DynamicSlice>) -> OptSliceRun {
+        OptSliceRun {
+            baseline: m.baseline,
+            hybrid: m.hybrid,
+            optimistic: m.optimistic,
+            checker_only: m.checker,
+            rolled_back: m.rolled_back,
+            rollback: m.rollback,
+            hybrid_slice_len: m.hybrid_answer.len(),
+            opt_slice_len: m.answer.len(),
+            slices_equal: m.hybrid_answer == m.answer,
+        }
+    }
+
+    fn outcome(
+        &self,
+        statics: SliceStatics,
+        invariants: InvariantSet,
+        profile: Profile,
+        runs: Vec<OptSliceRun>,
+        registry: &MetricsRegistry,
+    ) -> OptSliceOutcome {
+        let (sound, pred) = (statics.sound_report, statics.pred_report);
+        registry.set_gauge("optslice.slice_size.sound", sound.slice_size as f64);
+        registry.set_gauge("optslice.slice_size.pred", pred.slice_size as f64);
+        registry.set_gauge("optslice.alias_rate.sound", sound.alias_rate);
+        registry.set_gauge("optslice.alias_rate.pred", pred.alias_rate);
+        OptSliceOutcome {
             invariants,
-            profile_time,
-            profiling_runs_used: profiling_used,
-            sound: sound_report,
-            pred: pred_report,
+            profile_time: profile.time,
+            profiling_runs_used: profile.runs_used,
+            sound,
+            pred,
             runs,
             report: RunReport::default(),
-        };
-        registry.set_gauge("optslice.slice_size.sound", outcome.sound.slice_size as f64);
-        registry.set_gauge("optslice.slice_size.pred", outcome.pred.slice_size as f64);
-        registry.set_gauge("optslice.alias_rate.sound", outcome.sound.alias_rate);
-        registry.set_gauge("optslice.alias_rate.pred", outcome.pred.alias_rate);
-        registry.set_gauge("optslice.speedup_vs_hybrid", outcome.speedup_vs_hybrid());
-        registry.set_gauge(
-            "optslice.misspeculation_rate",
-            outcome.misspeculation_rate(),
-        );
-        let mut report = registry.report("optslice");
-        report.meta.insert("tool".into(), "optslice".into());
-        report
-            .meta
-            .insert("testing_runs".into(), outcome.runs.len().to_string());
-        report
-            .meta
-            .insert("profiling_runs_used".into(), profiling_used.to_string());
-        if self.pipeline.store().is_some() {
-            report.meta.insert(
-                "static_cache".into(),
-                if from_cache { "hit" } else { "miss" }.into(),
-            );
         }
-        outcome.report = report;
-        Ok(outcome)
     }
-}
 
-/// The union of `tool`'s dynamic slices of `endpoints`.
-fn slice_endpoints(tool: &GiriTool<'_>, endpoints: &[InstId]) -> DynamicSlice {
-    let mut acc = DynamicSlice::default();
-    for &e in endpoints {
-        acc.union_with(&tool.slice_of(e));
+    fn report(outcome: &mut OptSliceOutcome) -> &mut RunReport {
+        &mut outcome.report
     }
-    acc
 }
 
 /// Runs the most accurate analyses that complete within budget: CS first,
@@ -695,45 +406,34 @@ fn slice_endpoints(tool: &GiriTool<'_>, endpoints: &[InstId]) -> DynamicSlice {
 /// will complete on that benchmark without exhausting available
 /// computational resources" (§6.1.2). Registry-free (each step times
 /// itself with a plain clock) so the sound and predicated sides can run
-/// concurrently; the caller replays the span shape and stats after the
-/// join.
-#[allow(clippy::too_many_arguments)]
+/// concurrently; the caller records the spans and stats after the join.
+/// `points_to` is the context-insensitive configuration.
 fn compute_side(
     program: &Program,
     endpoints: &[InstId],
-    cfg: &crate::pipeline::PipelineConfig,
-    pool: oha_par::Pool,
-    serial_cutoff: usize,
-    dense_cutoff: usize,
-    invariants: Option<&InvariantSet>,
+    cfg: &PipelineConfig,
+    points_to: PointsToConfig<'_>,
 ) -> StaticSide {
-    let pt_cfg = |sensitivity| PointsToConfig {
-        sensitivity,
-        invariants,
-        clone_budget: cfg.ctx_budget,
-        solver_budget: cfg.solver_budget,
-        pool,
-        serial_cutoff,
-        dense_cutoff,
-    };
     let start = Instant::now();
-    let (pt, pt_at): (PointsTo, Sensitivity) =
-        match analyze(program, &pt_cfg(Sensitivity::ContextSensitive)) {
-            Ok(pt) => (pt, Sensitivity::ContextSensitive),
-            Err(_) => (
-                analyze(program, &pt_cfg(Sensitivity::ContextInsensitive))
-                    .expect("context-insensitive points-to always completes"),
-                Sensitivity::ContextInsensitive,
-            ),
-        };
+    let context_sensitive = PointsToConfig {
+        sensitivity: Sensitivity::ContextSensitive,
+        ..points_to
+    };
+    let (pt, pt_at): (PointsTo, Sensitivity) = match analyze(program, &context_sensitive) {
+        Ok(pt) => (pt, Sensitivity::ContextSensitive),
+        Err(_) => (
+            analyze(program, &points_to).expect("context-insensitive points-to always completes"),
+            Sensitivity::ContextInsensitive,
+        ),
+    };
     let points_to_time = start.elapsed();
 
     let sl_cfg = |sensitivity| SliceConfig {
         sensitivity,
-        invariants,
+        invariants: points_to.invariants,
         ctx_budget: cfg.ctx_budget,
         visit_budget: cfg.visit_budget,
-        pool,
+        pool: points_to.pool,
     };
     let start = Instant::now();
     let (static_slice, slice_at) = match slice(

@@ -11,12 +11,14 @@ use oha_faults::FaultPlan;
 use oha_interp::{Machine, MachineConfig};
 use oha_invariants::{InvariantAccumulator, InvariantSet, ProfileTracer, RunProfile};
 use oha_ir::{Fingerprint, FingerprintHasher, InstId, Program};
-use oha_obs::{MetricsFrame, MetricsRegistry, SpanStat, TraceLog};
+use oha_obs::{MetricsFrame, MetricsRegistry, TraceLog};
 use oha_par::Pool;
+use oha_pointsto::{PointsToConfig, Sensitivity};
 use oha_store::{ArtifactKey, ProfileArtifact, Store};
 
-use crate::optft::OptFtOutcome;
-use crate::optslice::OptSliceOutcome;
+use crate::driver::{load_timed, record_cached_spans};
+use crate::optft::{OptFt, OptFtOutcome};
+use crate::optslice::{OptSlice, OptSliceOutcome};
 
 /// Environment variable naming the on-disk artifact-store directory.
 /// When set (and non-empty), [`StoreConfig::from_env`] returns a config
@@ -146,6 +148,27 @@ pub struct PipelineConfig {
     /// store failures exercise the delete-and-recompute path without
     /// ever changing canonical results.
     pub faults: FaultPlan,
+}
+
+impl PipelineConfig {
+    /// The context-insensitive points-to configuration both static phases
+    /// start from: this configuration's budgets, `pool`, and the solver
+    /// cutoffs from the environment.
+    pub(crate) fn points_to<'i>(
+        &self,
+        pool: Pool,
+        invariants: Option<&'i InvariantSet>,
+    ) -> PointsToConfig<'i> {
+        PointsToConfig {
+            sensitivity: Sensitivity::ContextInsensitive,
+            invariants,
+            clone_budget: self.ctx_budget,
+            solver_budget: self.solver_budget,
+            pool,
+            serial_cutoff: oha_pointsto::serial_cutoff_from_env(),
+            dense_cutoff: oha_pointsto::dense_cutoff_from_env(),
+        }
+    }
 }
 
 impl Default for PipelineConfig {
@@ -487,30 +510,15 @@ impl Pipeline {
             return Ok(self.profile_until_stable(corpus.inputs()?, patience));
         };
         let key = ArtifactKey::new(self.program_fingerprint(), corpus_key);
-        let start = std::time::Instant::now();
-        let loaded = store.load_profile(&key);
-        let load_time = start.elapsed();
+        let (loaded, load_time) = load_timed(&self.metrics, "profile", || store.load_profile(&key));
         if let Some(artifact) = loaded {
             // Mirror the cold shape: the (tiny) load lands on the live
             // `profile` span, the cold run's duration on `cached/profile`.
-            self.metrics
-                .observe_duration("store.load.hit_ns", load_time);
-            self.metrics.trace_instant("store.profile.hit");
-            let elapsed = load_time;
             let span = self.metrics.span("profile");
-            self.metrics.add_span_stat(
-                "cached/profile",
-                SpanStat {
-                    total: Duration::from_nanos(artifact.profile_ns),
-                    count: 1,
-                },
-            );
+            record_cached_spans(&self.metrics, &[("cached/profile", artifact.profile_ns)]);
             span.finish();
-            return Ok((artifact.invariants, elapsed, artifact.runs_used as usize));
+            return Ok((artifact.invariants, load_time, artifact.runs_used as usize));
         }
-        self.metrics
-            .observe_duration("store.load.miss_ns", load_time);
-        self.metrics.trace_instant("store.profile.miss");
         let (invariants, time, used) = self.profile_until_stable(corpus.inputs()?, patience);
         let artifact = ProfileArtifact {
             invariants: invariants.clone(),
@@ -537,7 +545,8 @@ impl Pipeline {
         profiling: Corpus<'_>,
         testing: &[Vec<i64>],
     ) -> Result<OptFtOutcome, NeedCorpus> {
-        crate::optft::OptFt::new(self).run(profiling, testing)
+        let program = &self.program;
+        crate::driver::run(&OptFt { program }, self, profiling, testing)
     }
 
     /// Runs the full OptSlice pipeline for the given slice endpoints.
@@ -559,7 +568,8 @@ impl Pipeline {
         testing: &[Vec<i64>],
         endpoints: &[InstId],
     ) -> Result<OptSliceOutcome, NeedCorpus> {
-        crate::optslice::OptSlice::new(self, endpoints.to_vec()).run(profiling, testing)
+        let program = &self.program;
+        crate::driver::run(&OptSlice { program, endpoints }, self, profiling, testing)
     }
 }
 

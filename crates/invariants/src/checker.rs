@@ -128,7 +128,7 @@ impl ChecksEnabled {
     /// (paper §4.2). The no-custom-synchronization invariant is verified by
     /// the race detector itself (a race report is a potential
     /// mis-speculation), not by this checker.
-    pub fn for_optft() -> Self {
+    pub const fn for_optft() -> Self {
         Self {
             luc: true,
             callees: false,
@@ -140,7 +140,7 @@ impl ChecksEnabled {
 
     /// The checks OptSlice needs: LUC, callee sets, call contexts (paper
     /// §5.2).
-    pub fn for_optslice() -> Self {
+    pub const fn for_optslice() -> Self {
         Self {
             luc: true,
             callees: true,

@@ -484,10 +484,23 @@ impl SpanGuard {
         self.record()
     }
 
+    /// Ends the span now but records `total` as its time: for work timed
+    /// off the registry (say, on another pool thread) whose span still
+    /// belongs at this point of the tree. An attached trace gets the
+    /// live begin and end events as usual. Returns `total` (zero if
+    /// detached).
+    pub fn finish_as(mut self, total: Duration) -> Duration {
+        self.record_as(Some(total))
+    }
+
     fn record(&mut self) -> Duration {
+        self.record_as(None)
+    }
+
+    fn record_as(&mut self, total: Option<Duration>) -> Duration {
         match self.inner.take() {
             Some(g) => {
-                let elapsed = g.start.elapsed();
+                let elapsed = total.unwrap_or_else(|| g.start.elapsed());
                 g.registry
                     .record_span(&g.path, g.depth, elapsed, g.span_id, g.parent);
                 elapsed
@@ -546,6 +559,22 @@ mod tests {
         );
         assert_eq!(spans["pipeline/profile"].count, 1);
         assert!(spans["pipeline"].total >= spans["pipeline/profile"].total);
+    }
+
+    #[test]
+    fn finish_as_records_the_given_total_in_place() {
+        let reg = MetricsRegistry::new();
+        let outer = reg.span("static");
+        let measured = Duration::from_millis(7);
+        assert_eq!(reg.span("pointsto").finish_as(measured), measured);
+        outer.finish_as(measured * 2);
+        let spans = reg.spans();
+        assert_eq!(spans["static/pointsto"].total, measured);
+        assert_eq!(spans["static/pointsto"].count, 1);
+        assert_eq!(spans["static"].total, measured * 2);
+        // The stack unwound: the next span is a root again.
+        reg.span("dynamic").finish();
+        assert!(reg.span_stat("dynamic").is_some());
     }
 
     #[test]

@@ -7,7 +7,8 @@
 //!
 //! * [`ir`] — the program IR (stand-in for LLVM bitcode / Java bytecode),
 //! * [`interp`] — a deterministic multithreaded interpreter with tracer hooks,
-//! * [`dataflow`] — graphs, bit sets, CFG utilities and the worklist solver,
+//! * [`dataflow`] — bit sets, graphs and SCCs, CFGs, dominators, reaching
+//!   definitions (def-use chains) and call graphs,
 //! * [`pointsto`] — Andersen-style points-to analysis (CI and CS),
 //! * [`races`] — the static lockset/MHP race detector,
 //! * [`slicing`] — the static backward slicer,
@@ -33,7 +34,7 @@
 //! # Quickstart
 //!
 //! ```
-//! use oha::core::{OptFt, Pipeline};
+//! use oha::core::Pipeline;
 //! use oha::workloads::{java_suite, WorkloadParams};
 //!
 //! // Build one of the paper's benchmark stand-ins and its input corpora.

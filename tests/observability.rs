@@ -2,7 +2,7 @@
 //! elision accounting, span hierarchies and the machine-readable run report
 //! emitted by the three-phase pipeline.
 
-use oha::core::Pipeline;
+use oha::core::{Pipeline, PipelineConfig};
 use oha::interp::{Machine, MachineConfig, NoopTracer};
 use oha::obs::{MetricsRegistry, RunReport};
 use oha::workloads::{c_suite, java_suite, WorkloadParams};
@@ -149,4 +149,52 @@ fn unobserved_machine_matches_metered_machine() {
     // ...while the registry observes the dispatches.
     assert!(registry.counter_value("m.hook.load") > 0);
     assert!(registry.counter_value("m.hook.store") > 0);
+}
+
+/// The static phases run their sound and predicated sides as concurrent
+/// pool tasks, timed off the registry; each side's span still records
+/// that side's own measured time, so the spans add up to the
+/// `<tool>.phase.static_ns` observation.
+#[test]
+fn static_phase_spans_record_each_sides_time() {
+    let serial = PipelineConfig {
+        threads: 1,
+        ..PipelineConfig::default()
+    };
+    let static_ns = |report: &RunReport, tool: &str| {
+        let hist = &report.hists[&format!("{tool}.phase.static_ns")];
+        assert_eq!(hist.count(), 1);
+        hist.sum()
+    };
+    let total = |report: &RunReport, path: &str| {
+        let span = report.spans[path];
+        assert_eq!(span.count, 1, "{path}");
+        assert!(span.total_ns > 0, "{path} recorded no time");
+        u128::from(span.total_ns)
+    };
+
+    let w = java_suite::lusearch(&WorkloadParams::small());
+    let outcome = Pipeline::new(w.program.clone())
+        .with_config(serial.clone())
+        .run_optft(&w.profiling_inputs, &w.testing_inputs);
+    let report = &outcome.report;
+    assert_eq!(
+        total(report, "optft/static_sound") + total(report, "optft/static_pred"),
+        static_ns(report, "optft")
+    );
+
+    let w = c_suite::all(&WorkloadParams::small()).swap_remove(0);
+    let outcome = Pipeline::new(w.program.clone())
+        .with_config(serial)
+        .run_optslice(&w.profiling_inputs, &w.testing_inputs, &w.endpoints);
+    let report = &outcome.report;
+    let mut sides = 0;
+    for side in ["sound", "pred"] {
+        let path = format!("optslice/static_{side}");
+        let parts =
+            total(report, &format!("{path}/pointsto")) + total(report, &format!("{path}/slice"));
+        assert_eq!(total(report, &path), parts, "{path}");
+        sides += parts;
+    }
+    assert_eq!(sides, static_ns(report, "optslice"));
 }
