@@ -353,6 +353,7 @@ pub(crate) fn run<T: Optimistic>(
     }
     registry.observe_duration(&metric("phase.dynamic_ns"), dynamic_span.finish());
     pipeline_span.finish();
+    // Ends the borrows of the statics, which the outcome takes.
     drop(dynamic);
 
     // Store bookkeeping. A clean cold run persists its artifact; a

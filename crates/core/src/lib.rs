@@ -22,6 +22,10 @@
 //! * [`Pipeline::run_optslice`] — OptSlice, the optimistic dynamic backward
 //!   slicer (paper §5).
 //!
+//! Both are instances of one optimistic driver: each tool supplies its
+//! static phase, tools and answers, and the driver owns speculation,
+//! rollback, the dynamic phase's lanes and the store bookkeeping.
+//!
 //! Each also has a `_from` form ([`Pipeline::run_optft_from`],
 //! [`Pipeline::run_optslice_from`]) that may name the profiling corpus by
 //! its [`corpus_content_fingerprint`] alone ([`Corpus::Stored`]) and
